@@ -5,13 +5,18 @@ to one of ``dimension`` buckets, counts are accumulated and L2-normalized.
 It is dependency-free and stable across runs and processes, which makes
 retrieval tests reproducible. Production deployments can plug any embedder
 that satisfies the same protocol.
+
+An embedder must offer ``embed(text)``. It may also offer
+``embed_many(texts)``, returning an ``(n, dimension)`` array whose rows equal
+what ``embed`` returns for each text; ``embed_matrix`` uses it when present
+and stacks ``embed`` results otherwise.
 """
 from __future__ import annotations
 
 import hashlib
 import re
 import threading
-from typing import Protocol, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -39,6 +44,17 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
     return max(-1.0, min(1.0, score))
 
 
+def embed_matrix(embedder: Embedder, texts: Sequence[str]) -> np.ndarray:
+    """The ``(len(texts), dimension)`` matrix of ``embedder``'s vectors, one row per text."""
+    embed_many = getattr(embedder, "embed_many", None)
+    if embed_many is not None:
+        return embed_many(texts)
+    out = np.empty((len(texts), embedder.dimension), dtype=np.float64)
+    for row, text in zip(out, texts):
+        row[:] = embedder.embed(text)
+    return out
+
+
 def _bucket(token: str, dimension: int) -> int:
     digest = hashlib.md5(token.encode("utf-8")).hexdigest()
     return int(digest, 16) % dimension
@@ -53,7 +69,16 @@ class HashedEmbedder:
         self.dimension = dimension
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension, dtype=np.float64)
+        return self._fill(np.zeros(self.dimension, dtype=np.float64), text)
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        out = np.zeros((len(texts), self.dimension), dtype=np.float64)
+        for row, text in zip(out, texts):
+            self._fill(row, text)
+        return out
+
+    def _fill(self, vec: np.ndarray, text: str) -> np.ndarray:
+        """Write the unit token-count vector of ``text`` into the zero vector ``vec``."""
         for token in _TOKEN_RE.findall(text.lower()):
             vec[_bucket(token, self.dimension)] += 1.0
         norm = np.linalg.norm(vec)
@@ -80,3 +105,8 @@ class CachingEmbedder:
         with self._lock:
             self._cache.setdefault(text, vec)
         return vec
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """The inner embedder's matrix, uncached: a bulk call such as a graph's
+        entity index keeps its own copy, and caching it would store it twice."""
+        return embed_matrix(self._inner, texts)

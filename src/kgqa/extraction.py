@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, TypeVar, Union
 
 from .kg_store import normalize
 from .llm import (
@@ -124,9 +124,12 @@ class KeySet:
         return pairs
 
 
-def _dedupe(keys: list[Key]) -> list[Key]:
+_K = TypeVar("_K", bound=Key)
+
+
+def _dedupe(keys: list[_K]) -> list[_K]:
     seen: set[tuple[str, str]] = set()
-    out: list[Key] = []
+    out: list[_K] = []
     for key in keys:
         ident = (type(key).__name__, normalize(serialize_key(key)))
         if ident not in seen:
@@ -175,14 +178,7 @@ def parse_global_reply(text: str) -> list[TripleKey]:
         for h, r, t in _TUPLE_RE.findall(text)
         if h.strip() and r.strip() and t.strip()
     ]
-    deduped: list[TripleKey] = []
-    seen: set[str] = set()
-    for key in keys:
-        ident = normalize(serialize_key(key))
-        if ident not in seen:
-            seen.add(ident)
-            deduped.append(key)
-    return deduped
+    return _dedupe(keys)
 
 
 def group_subgraphs(triples: list[TripleKey]) -> list[Key]:

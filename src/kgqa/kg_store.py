@@ -2,17 +2,26 @@
 
 The graph is loaded once from a TSV stream (``head<TAB>relation<TAB>tail``
 per line, ``#`` comments and blank lines ignored) and is read-only after
-that, so it is safe to share across threads.
+that, so it is safe to share across threads. The one thing built later, the
+per-embedder entity index behind a fuzzy resolve, is built under a lock.
 """
 from __future__ import annotations
 
 import hashlib
+import threading
+import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
-if TYPE_CHECKING:
-    from .embedding import Embedder
+import numpy as np
+
+from .embedding import Embedder, cosine_sim, embed_matrix
+
+# A fuzzy resolve re-scores with ``cosine_sim`` every entity whose vectorised
+# score lies this close to the best one. Summation order moves a score by a
+# few ulps, far less than this, so the exact best is always among them.
+_RESCORE_TOLERANCE = 1e-9
 
 
 def normalize(text: str) -> str:
@@ -97,6 +106,13 @@ class KnowledgeGraph:
             for end in (t.head, t.tail):
                 self._entities.setdefault(end.canonical, end)
                 self._adjacency.setdefault(end.canonical, set()).add(t)
+        self._sorted_entities = tuple(self._entities[c] for c in sorted(self._entities))
+        # Per embedder: its vectors of the sorted entities, one row each, and
+        # the reciprocal row norms (0 for a zero row). Built on the first fuzzy
+        # resolve and dropped with the embedder.
+        self._indexes: weakref.WeakKeyDictionary[Embedder, tuple[np.ndarray, np.ndarray]]
+        self._indexes = weakref.WeakKeyDictionary()
+        self._index_lock = threading.Lock()
 
     @property
     def triples(self) -> tuple[Triple, ...]:
@@ -112,7 +128,8 @@ class KnowledgeGraph:
 
     @property
     def entities(self) -> tuple[EntityId, ...]:
-        return tuple(self._entities[c] for c in sorted(self._entities))
+        """Every entity, sorted by canonical."""
+        return self._sorted_entities
 
     def adjacency(self, entity: "EntityId | str") -> set[Triple]:
         canonical = entity.canonical if isinstance(entity, EntityId) else normalize(entity)
@@ -138,17 +155,33 @@ class KnowledgeGraph:
             return self._entities[canonical]
         if embedder is None or not self._entities:
             return None
-        from .embedding import cosine_sim
-
+        matrix, inv_norms = self._entity_index(embedder)
         mention_vec = embedder.embed(canonical)
+        mention_norm = float(np.linalg.norm(mention_vec))
+        scores = matrix @ mention_vec
+        scores *= inv_norms
+        scores *= (1.0 / mention_norm) if mention_norm > 0.0 else 0.0
+        np.clip(scores, -1.0, 1.0, out=scores)
+        floor = max(float(scores.max()), threshold) - _RESCORE_TOLERANCE
         best: Optional[EntityId] = None
         best_score = threshold
-        for cand_canonical in sorted(self._entities):
-            score = cosine_sim(mention_vec, embedder.embed(cand_canonical))
+        for row in np.flatnonzero(scores >= floor):
+            score = cosine_sim(mention_vec, matrix[row])
             if score > best_score:
-                best = self._entities[cand_canonical]
+                best = self._sorted_entities[row]
                 best_score = score
         return best
+
+    def _entity_index(self, embedder: Embedder) -> tuple[np.ndarray, np.ndarray]:
+        with self._index_lock:
+            index = self._indexes.get(embedder)
+            if index is None:
+                matrix = embed_matrix(embedder, [e.canonical for e in self._sorted_entities])
+                # einsum avoids the n x dim temporary that np.linalg.norm(axis=1) makes.
+                norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+                inv_norms = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+                index = self._indexes[embedder] = (matrix, inv_norms)
+        return index
 
     def neighbors(self, entity: "EntityId | str", hops: int = 1) -> set[Triple]:
         """All triples reachable by breadth-first expansion within ``hops`` edges."""

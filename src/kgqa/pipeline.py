@@ -14,7 +14,6 @@ from typing import Optional, TextIO
 from .embedding import CachingEmbedder, Embedder, HashedEmbedder
 from .extraction import (
     KeySet,
-    SubgraphKey,
     build_key_set,
     extract_global_keys,
     extract_local_keys,
@@ -237,7 +236,6 @@ def write_trace(out: TextIO, result: PipelineResult, cfg: PipelineConfig, graph:
     for key in result.keys.local_keys:
         emit({"type": "key", "level": "local", "kind": type(key).__name__, "text": serialize_key(key)})
     for key in result.keys.global_keys:
-        assert isinstance(key, SubgraphKey)
         emit({"type": "key", "level": "global", "kind": type(key).__name__, "text": serialize_key(key)})
     for scored in result.evidence.kept:
         emit(

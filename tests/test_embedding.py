@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from kgqa.embedding import CachingEmbedder, HashedEmbedder, cosine_sim
+from kgqa.embedding import CachingEmbedder, HashedEmbedder, cosine_sim, embed_matrix
 
 
 def test_cosine_self_similarity():
@@ -57,3 +57,32 @@ def test_caching_embedder_matches_inner():
     text = "manchester united"
     assert np.array_equal(cached.embed(text), inner.embed(text))
     assert np.array_equal(cached.embed(text), inner.embed(text))
+
+
+def test_hashed_embed_many_rows_equal_embed():
+    e = HashedEmbedder()
+    texts = ["alpha beta", "", "!!!", "Alpha alpha gamma", "manchester united"]
+    matrix = e.embed_many(texts)
+    assert matrix.shape == (len(texts), e.dimension)
+    for row, text in zip(matrix, texts):
+        assert row.tobytes() == e.embed(text).tobytes()
+
+
+def test_embed_matrix_stacks_embed_only_embedders():
+    class EmbedOnly:
+        dimension = 3
+
+        def embed(self, text):
+            return np.array([len(text), 1.0, 0.0])
+
+    matrix = embed_matrix(EmbedOnly(), ["a", "bcd"])
+    assert matrix.tolist() == [[1.0, 1.0, 0.0], [3.0, 1.0, 0.0]]
+
+
+def test_caching_embed_many_bypasses_cache():
+    inner = HashedEmbedder()
+    cached = CachingEmbedder(inner)
+    cached.embed("alpha")
+    matrix = cached.embed_many(["alpha", "beta", "gamma"])
+    assert np.array_equal(matrix, inner.embed_many(["alpha", "beta", "gamma"]))
+    assert len(cached._cache) == 1

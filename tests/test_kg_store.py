@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import gc
 import io
+import sys
+import threading
+import time
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgqa.embedding import HashedEmbedder
+from kgqa.embedding import CachingEmbedder, HashedEmbedder, cosine_sim
 from kgqa.kg_store import (
     EntityId,
     GraphParseError,
@@ -150,3 +155,140 @@ def test_union_of_one_hop_neighborhoods_covers_graph(raw):
     for e in g.entities:
         union |= g.neighbors(e, 1)
     assert union == set(g.triples)
+
+
+def reference_resolve(g, mention, embedder, threshold):
+    """The per-entity scan resolve_entity replaced: sorted order, strict >."""
+    canonical = normalize(mention)
+    for e in g.entities:
+        if e.canonical == canonical:
+            return e
+    mention_vec = embedder.embed(canonical)
+    best, best_score = None, threshold
+    for e in sorted(g.entities, key=lambda e: e.canonical):
+        score = cosine_sim(mention_vec, embedder.embed(e.canonical))
+        if score > best_score:
+            best, best_score = e, score
+    return best
+
+
+class ScaledEmbedder:
+    """Hashed vectors scaled by text length: non-unit, and no ``embed_many``."""
+
+    def __init__(self, dimension):
+        self.dimension = dimension
+        self._unit = HashedEmbedder(dimension)
+
+    def embed(self, text):
+        return (1.0 + len(text)) * self._unit.embed(text)
+
+
+# Few words and few buckets give many exact ties: names that are token
+# permutations of each other, and bucket collisions between different words.
+_words = st.lists(st.sampled_from(["ash", "birch", "cedar", "elm", "fir"]), min_size=1, max_size=3)
+
+
+def _make_embedder(kind, dimension):
+    if kind == "hashed":
+        return HashedEmbedder(dimension)
+    if kind == "caching":
+        return CachingEmbedder(HashedEmbedder(dimension))
+    return ScaledEmbedder(dimension)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    names=st.lists(_words, min_size=1, max_size=8),
+    mention=st.one_of(_words.map(" ".join), st.just("!!!")),
+    kind=st.sampled_from(["hashed", "caching", "scaled"]),
+    dimension=st.sampled_from([4, 8, 64]),
+    # A float is the threshold; an int picks an attained score as the threshold.
+    threshold=st.one_of(st.floats(-0.2, 1.0), st.integers(0, 20)),
+)
+@example(names=[["ash"], ["elm", "fir"]], mention="!!!", kind="hashed", dimension=8, threshold=0.7)
+@example(names=[["ash"], ["elm", "fir"]], mention="!!!", kind="scaled", dimension=8, threshold=-0.1)
+def test_resolve_entity_matches_reference_scan(names, mention, kind, dimension, threshold):
+    embedder = _make_embedder(kind, dimension)
+    # Each name also appears as a permutation of its tokens: an exact tie.
+    surfaces = [" ".join(w) for w in names] + [" ".join(reversed(w)) for w in names]
+    g = KnowledgeGraph(Triple.from_surface(s, "r", "hub") for s in surfaces)
+    if isinstance(threshold, int):
+        mention_vec = embedder.embed(normalize(mention))
+        attained = sorted({cosine_sim(mention_vec, embedder.embed(e.canonical)) for e in g.entities})
+        threshold = attained[threshold % len(attained)]
+    expected = reference_resolve(g, mention, embedder, threshold)
+    assert g.resolve_entity(mention, embedder, threshold) == expected
+
+
+def test_resolve_entity_score_equal_to_threshold_rejected():
+    g = KnowledgeGraph([Triple.from_surface("alpha beta", "r", "gamma")])
+    embedder = HashedEmbedder()
+    score = cosine_sim(embedder.embed("alpha"), embedder.embed("alpha beta"))
+    assert g.resolve_entity("alpha", embedder, score) is None
+    assert g.resolve_entity("alpha", embedder, np.nextafter(score, 0.0)).canonical == "alpha beta"
+
+
+def test_entities_sorted_once(fixture_graph):
+    entities = fixture_graph.entities
+    assert [e.canonical for e in entities] == sorted(e.canonical for e in entities)
+    assert fixture_graph.entities is entities
+
+
+class CountingEmbedder(HashedEmbedder):
+    def __init__(self):
+        super().__init__()
+        self.bulk_calls = 0
+
+    def embed_many(self, texts):
+        self.bulk_calls += 1
+        time.sleep(0.05)  # hold the build open while the other thread arrives
+        return super().embed_many(texts)
+
+
+def test_entity_index_per_embedder(fixture_graph):
+    first, second = CountingEmbedder(), CountingEmbedder()
+    for embedder in (first, second, first):
+        assert fixture_graph.resolve_entity("Alex Ferguson OBE", embedder, 0.5).canonical == "alex ferguson"
+    assert (first.bulk_calls, second.bulk_calls) == (1, 1)
+    assert len(fixture_graph._indexes) == 2
+
+
+def test_entity_index_not_built_for_exact_mentions(fixture_graph):
+    embedder = CountingEmbedder()
+    fixture_graph.resolve_entity("david beckham", embedder, 0.7)
+    assert embedder.bulk_calls == 0
+    assert len(fixture_graph._indexes) == 0
+
+
+def test_entity_index_freed_with_its_embedder(fixture_graph):
+    embedder = CachingEmbedder(HashedEmbedder())
+    fixture_graph.resolve_entity("Alex Ferguson OBE", embedder, 0.5)
+    assert len(fixture_graph._indexes) == 1
+    del embedder
+    gc.collect()
+    assert len(fixture_graph._indexes) == 0
+
+
+def test_entity_index_built_once_under_concurrent_resolves(fixture_graph):
+    inner = CountingEmbedder()
+    embedder = CachingEmbedder(inner)
+    barrier = threading.Barrier(4)
+    results = []
+
+    def resolve():
+        barrier.wait(timeout=10)
+        results.append(fixture_graph.resolve_entity("Alex Ferguson OBE", embedder, 0.5))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=resolve) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [e.canonical for e in results] == ["alex ferguson"] * 4
+    assert inner.bulk_calls == 1
