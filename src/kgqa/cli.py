@@ -6,22 +6,20 @@ import json
 import sys
 from typing import Optional
 
+from .config import PipelineConfig, load_config
 from .evaluation import load_dataset, run_benchmark
 from .kg_store import GraphParseError, load_graph_file
 from .llm import BackendError, HTTPBackend, load_script
-from .pipeline import Backends, load_config, run_pipeline, write_trace
+from .pipeline import Backends, run_pipeline, write_trace
 
 
 class CLIError(RuntimeError):
     pass
 
 
-def _build_backends(script_path: Optional[str], cfg) -> Backends:
-    if script_path:
-        backend = load_script(script_path)
-        return Backends.scripted(backend, dimension=cfg.embedding_dim)
-    http = HTTPBackend.from_env(model=cfg.model)
-    return Backends.scripted(http, dimension=cfg.embedding_dim)
+def _build_backends(script_path: Optional[str], cfg: PipelineConfig) -> Backends:
+    backend = load_script(script_path) if script_path else HTTPBackend.from_env(model=cfg.model)
+    return Backends.single(backend, dimension=cfg.embedding_dim)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:

@@ -13,10 +13,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, TypeVar, Union
 
+from .config import PipelineConfig
 from .kg_store import normalize
 from .llm import (
-    DEFAULT_MAX_TOKENS,
-    EXPLORATION_TEMPERATURE,
     EXT_GLOBAL_TEMPLATE,
     EXT_LOCAL_TEMPLATE,
     GenerationRequest,
@@ -232,13 +231,14 @@ def _serialize_map(m: MindMap) -> str:
 def extract_local_keys(
     m: MindMap,
     backend: LLMBackend,
-    temperature: float = EXPLORATION_TEMPERATURE,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
+    cfg: PipelineConfig,
     warnings: Optional[list[str]] = None,
 ) -> list[Key]:
     prompt = EXT_LOCAL_TEMPLATE.render(mind_map=_serialize_map(m))
     reply = backend.generate(
-        GenerationRequest(prompt=prompt, temperature=temperature, max_tokens=max_tokens)
+        GenerationRequest(
+            prompt=prompt, temperature=cfg.exploration_temperature, max_tokens=cfg.max_tokens
+        )
     )
     keys = parse_local_reply(reply)
     if not keys and reply.strip() and warnings is not None:
@@ -249,13 +249,14 @@ def extract_local_keys(
 def extract_global_keys(
     m: MindMap,
     backend: LLMBackend,
-    temperature: float = EXPLORATION_TEMPERATURE,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
+    cfg: PipelineConfig,
     warnings: Optional[list[str]] = None,
 ) -> list[Key]:
     prompt = EXT_GLOBAL_TEMPLATE.render(mind_map=_serialize_map(m))
     reply = backend.generate(
-        GenerationRequest(prompt=prompt, temperature=temperature, max_tokens=max_tokens)
+        GenerationRequest(
+            prompt=prompt, temperature=cfg.exploration_temperature, max_tokens=cfg.max_tokens
+        )
     )
     triples = parse_global_reply(reply)
     if not triples:

@@ -17,8 +17,6 @@ from typing import Optional, Protocol, runtime_checkable
 
 import requests
 
-EXPLORATION_TEMPERATURE = 0.4
-REASONING_TEMPERATURE = 0.0
 DEFAULT_MAX_TOKENS = 1024
 
 ENV_LLM_URL = "COGGRAG_LLM_URL"

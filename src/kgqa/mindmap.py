@@ -11,13 +11,12 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
+from .config import PipelineConfig
 from .kg_store import normalize
 from .llm import (
     DEC_TEMPLATE,
-    DEFAULT_MAX_TOKENS,
-    EXPLORATION_TEMPERATURE,
     GenerationRequest,
     LLMBackend,
 )
@@ -53,46 +52,29 @@ class MindMap:
     def node(self, node_id: str) -> MindMapNode:
         return self.nodes[node_id]
 
-    def questions(self) -> list[str]:
-        """All node questions in pre-order, root first."""
-        out: list[str] = []
+    def preorder(self) -> Iterator[MindMapNode]:
+        """All nodes in pre-order, root first, children in list order."""
         stack = [self.root]
         while stack:
             node = self.nodes[stack.pop()]
-            out.append(node.question)
+            yield node
             stack.extend(reversed(node.children))
-        return out
+
+    def questions(self) -> list[str]:
+        """All node questions in pre-order, root first."""
+        return [node.question for node in self.preorder()]
 
     def to_records(self) -> list[dict]:
         """Flat per-node records in pre-order, for trace files."""
-        out: list[dict] = []
-        stack = [self.root]
-        while stack:
-            node = self.nodes[stack.pop()]
-            out.append(
-                {
-                    "id": node.id,
-                    "question": node.question,
-                    "depth": node.depth,
-                    "state": node.state.value,
-                }
-            )
-            stack.extend(reversed(node.children))
-        return out
-
-
-@dataclass
-class DecompositionConfig:
-    max_depth: int = 3
-    max_parse_retries: int = 1
-    exploration_temperature: float = EXPLORATION_TEMPERATURE
-    max_tokens: int = DEFAULT_MAX_TOKENS
-
-    def __post_init__(self) -> None:
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
-        if self.max_parse_retries < 0:
-            raise ValueError("max_parse_retries must be >= 0")
+        return [
+            {
+                "id": node.id,
+                "question": node.question,
+                "depth": node.depth,
+                "state": node.state.value,
+            }
+            for node in self.preorder()
+        ]
 
 
 def _first_bracketed_block(text: str) -> Optional[str]:
@@ -152,7 +134,7 @@ def parse_decomposition_reply(text: str) -> Optional[list[tuple[str, NodeState]]
 def decompose_question(
     question: str,
     backend: LLMBackend,
-    cfg: DecompositionConfig,
+    cfg: PipelineConfig,
     warnings: Optional[list[str]] = None,
 ) -> list[tuple[str, NodeState]]:
     """One decomposition step; falls back to [(question, End)] when the
@@ -184,7 +166,7 @@ def single_node_map(question: str) -> MindMap:
 def build_mind_map(
     question: str,
     backend: LLMBackend,
-    cfg: DecompositionConfig,
+    cfg: PipelineConfig,
     warnings: Optional[list[str]] = None,
 ) -> MindMap:
     """Recursively decompose ``question`` into a mind map.

@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from .config import PipelineConfig
 from .llm import (
-    DEFAULT_MAX_TOKENS,
-    REASONING_TEMPERATURE,
     RES_TEMPLATE,
     RETHINK_TEMPLATE,
     VER_TEMPLATE,
@@ -72,18 +71,6 @@ class ReasoningAborted(RuntimeError):
         self.partial_trace = partial_trace
 
 
-@dataclass
-class ReasoningConfig:
-    verification_enabled: bool = True
-    max_evidence_triples: int = 64
-    reasoning_temperature: float = REASONING_TEMPERATURE
-    max_tokens: int = DEFAULT_MAX_TOKENS
-
-    def __post_init__(self) -> None:
-        if self.max_evidence_triples < 1:
-            raise ValueError("max_evidence_triples must be positive")
-
-
 def serialize_evidence(evidence: RetrievedTripleSet, cap: int = 64) -> str:
     """Kept triples as "(head, relation, tail)" lines, truncated at ``cap``."""
     lines = [
@@ -98,7 +85,7 @@ def serialize_verified(verified: list[VerifiedAnswer]) -> str:
     return "\n".join(lines) if lines else "None"
 
 
-def _generate(backend: LLMBackend, prompt: str, cfg: ReasoningConfig) -> str:
+def _generate(backend: LLMBackend, prompt: str, cfg: PipelineConfig) -> str:
     return backend.generate(
         GenerationRequest(
             prompt=prompt,
@@ -113,12 +100,11 @@ def answer_node(
     evidence: RetrievedTripleSet,
     verified: list[VerifiedAnswer],
     res: LLMBackend,
-    cfg: Optional[ReasoningConfig] = None,
+    cfg: PipelineConfig,
     warnings: Optional[list[str]] = None,
 ) -> str:
     """Candidate answer for one node; falls back to the raw completion when
     the reply carries no bracketed span."""
-    cfg = cfg or ReasoningConfig()
     prompt = RES_TEMPLATE.render(
         reasoning=serialize_verified(verified),
         knowledge=serialize_evidence(evidence, cfg.max_evidence_triples),
@@ -139,12 +125,11 @@ def verify_answer(
     evidence: RetrievedTripleSet,
     verified: list[VerifiedAnswer],
     ver: LLMBackend,
-    cfg: Optional[ReasoningConfig] = None,
+    cfg: PipelineConfig,
     warnings: Optional[list[str]] = None,
 ) -> bool:
     """Parse the verifier's bracketed right/wrong verdict; anything else is
     conservatively treated as wrong."""
-    cfg = cfg or ReasoningConfig()
     prompt = VER_TEMPLATE.render(
         reasoning=serialize_verified(verified),
         knowledge=serialize_evidence(evidence, cfg.max_evidence_triples),
@@ -168,13 +153,12 @@ def rethink_node(
     evidence: RetrievedTripleSet,
     verified: list[VerifiedAnswer],
     res: LLMBackend,
+    cfg: PipelineConfig,
     verdict: bool = False,
-    cfg: Optional[ReasoningConfig] = None,
 ) -> str:
     """Regenerate an answer after a failed verdict; accepted without re-verification."""
     if verdict:
         raise ValueError("rethink_node requires a failed verdict")
-    cfg = cfg or ReasoningConfig()
     prompt = RETHINK_TEMPLATE.render(
         reasoning=serialize_verified(verified),
         knowledge=serialize_evidence(evidence, cfg.max_evidence_triples),
@@ -190,14 +174,13 @@ def solve(
     evidence: RetrievedTripleSet,
     res: LLMBackend,
     ver: LLMBackend,
-    cfg: Optional[ReasoningConfig] = None,
+    cfg: PipelineConfig,
 ) -> ReasoningTrace:
     """Run the full bottom-up answer/verify/rethink loop over the map.
 
     With verification disabled the verdict is forced true and rethink never
     fires. Backend errors raise ReasoningAborted with the partial trace.
     """
-    cfg = cfg or ReasoningConfig()
     trace = ReasoningTrace()
     verified: list[VerifiedAnswer] = []
     try:
@@ -213,7 +196,7 @@ def solve(
                 verdict = True
             rethink: Optional[str] = None
             if not verdict:
-                rethink = rethink_node(question, evidence, verified, res, verdict, cfg)
+                rethink = rethink_node(question, evidence, verified, res, cfg, verdict)
                 trace.rethink_calls += 1
             final = rethink if rethink is not None else candidate
             outcome = Outcome.ABSTAINED if detect_abstention(final) else Outcome.ANSWERED

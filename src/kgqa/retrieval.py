@@ -8,25 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from .config import PipelineConfig
 from .embedding import Embedder, cosine_sim
-from .extraction import Key, KeySet, serialize_key
+from .extraction import Key, KeySet
 from .kg_store import KnowledgeGraph, Triple
-
-DEFAULT_EPSILON = 0.7
-DEFAULT_HUB_CAP = 512
-
-
-@dataclass
-class RetrievalConfig:
-    hops: int = 1
-    hub_cap: int = DEFAULT_HUB_CAP
-    resolve_threshold: float = 0.7
-
-    def __post_init__(self) -> None:
-        if self.hops < 1:
-            raise ValueError("hops must be >= 1")
-        if self.hub_cap < 1:
-            raise ValueError("hub_cap must be positive")
 
 
 def serialize_triple(t: Triple) -> str:
@@ -50,11 +37,30 @@ class RetrievedTripleSet:
         return [s.triple for s in self.kept]
 
 
+def _embed_keys(keys: KeySet, embedder: Embedder) -> list[tuple[Key, np.ndarray]]:
+    return [(key, embedder.embed(text)) for key, text in keys.scoring_pairs()]
+
+
+def _best_key(
+    triple: Triple, embedder: Embedder, key_vectors: list[tuple[Key, np.ndarray]]
+) -> tuple[Key | None, float]:
+    """The key scoring highest against ``triple`` and its score; the first one wins a tie."""
+    vec = embedder.embed(serialize_triple(triple))
+    best_key: Key | None = None
+    best = float("-inf")
+    for key, key_vec in key_vectors:
+        score = cosine_sim(vec, key_vec)
+        if score > best:
+            best = score
+            best_key = key
+    return best_key, best
+
+
 def gather_candidates(
     g: KnowledgeGraph,
     keys: KeySet,
     embedder: Embedder,
-    cfg: RetrievalConfig,
+    cfg: PipelineConfig,
 ) -> set[Triple]:
     """Union of neighborhood expansions over every resolvable key mention.
 
@@ -62,8 +68,7 @@ def gather_candidates(
     highest-scoring triples against the key set (lexicographically first
     when no keys can score).
     """
-    key_texts = [text for _, text in keys.scoring_pairs()]
-    key_vectors = [embedder.embed(t) for t in key_texts]
+    key_vectors = _embed_keys(keys, embedder)
     candidates: set[Triple] = set()
     for mention in keys.mentions():
         entity = g.resolve_entity(mention, embedder, cfg.resolve_threshold)
@@ -72,11 +77,10 @@ def gather_candidates(
         expansion = g.neighbors(entity, cfg.hops)
         if len(expansion) > cfg.hub_cap:
             if key_vectors:
-                def best_score(t: Triple) -> float:
-                    vec = embedder.embed(serialize_triple(t))
-                    return max(cosine_sim(vec, kv) for kv in key_vectors)
-
-                ranked = sorted(expansion, key=lambda t: (-best_score(t), t.sort_key()))
+                ranked = sorted(
+                    expansion,
+                    key=lambda t: (-_best_key(t, embedder, key_vectors)[1], t.sort_key()),
+                )
             else:
                 ranked = sorted(expansion, key=Triple.sort_key)
             expansion = set(ranked[: cfg.hub_cap])
@@ -88,24 +92,14 @@ def filter_by_similarity(
     candidates: set[Triple],
     keys: KeySet,
     embedder: Embedder,
-    epsilon: float = DEFAULT_EPSILON,
+    cfg: PipelineConfig,
 ) -> RetrievedTripleSet:
     """Keep candidates whose max similarity over keys strictly exceeds epsilon."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must be in [0, 1]")
-    pairs = keys.scoring_pairs()
-    key_vectors = [(key, embedder.embed(text)) for key, text in pairs]
+    key_vectors = _embed_keys(keys, embedder)
     kept: list[ScoredTriple] = []
     for triple in candidates:
-        vec = embedder.embed(serialize_triple(triple))
-        best_key: Key | None = None
-        best = float("-inf")
-        for key, key_vec in key_vectors:
-            score = cosine_sim(vec, key_vec)
-            if score > best:
-                best = score
-                best_key = key
-        if best_key is not None and best > epsilon:
+        best_key, best = _best_key(triple, embedder, key_vectors)
+        if best_key is not None and best > cfg.epsilon:
             kept.append(ScoredTriple(triple=triple, best_key=best_key, score=best))
     kept.sort(key=lambda s: (-s.score, s.triple.sort_key()))
-    return RetrievedTripleSet(kept=tuple(kept), candidate_count=len(candidates), epsilon=epsilon)
+    return RetrievedTripleSet(kept=tuple(kept), candidate_count=len(candidates), epsilon=cfg.epsilon)

@@ -25,7 +25,7 @@ from kgqa.llm import (
     ScriptRule,
     ScriptedBackend,
 )
-from kgqa.mindmap import DecompositionConfig, NodeState, bottom_up_order, build_mind_map
+from kgqa.mindmap import NodeState, bottom_up_order, build_mind_map
 from kgqa.pipeline import Backends, PipelineConfig, run_pipeline, write_trace
 from kgqa.reasoning import ABSTENTION_PHRASE, detect_abstention
 
@@ -48,7 +48,7 @@ def test_criterion_1_retrieval_oracle_equivalence():
         graph = random_graph(rng, 200)
         keys = random_keys(rng, graph, 20)
         candidates = set(graph.triples)
-        result = filter_by_similarity(candidates, keys, embedder, 0.7)
+        result = filter_by_similarity(candidates, keys, embedder, PipelineConfig(epsilon=0.7))
         assert set(result.triples()) == brute_force_kept(candidates, keys, embedder, 0.7)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -136,7 +136,7 @@ def _head_of(prompt: str) -> str:
 def _run_session(rules) -> tuple:
     backend = ScriptedBackend(rules)
     graph = load_graph_file(str(FIXTURES / "beckham_graph.tsv"))
-    result = run_pipeline(BECKHAM_QUESTION, graph, PipelineConfig(), Backends.scripted(backend))
+    result = run_pipeline(BECKHAM_QUESTION, graph, PipelineConfig(), Backends.single(backend))
     return result, backend
 
 
@@ -199,7 +199,7 @@ def test_criterion_4_golden_end_to_end():
     def run_once() -> tuple[str, str]:
         backend = ScriptedBackend(golden_rules())
         cfg = PipelineConfig()
-        result = run_pipeline(BECKHAM_QUESTION, graph, cfg, Backends.scripted(backend))
+        result = run_pipeline(BECKHAM_QUESTION, graph, cfg, Backends.single(backend))
         buffer = io.StringIO()
         write_trace(buffer, result, cfg, graph)
         return result.final_answer, buffer.getvalue()
@@ -218,7 +218,7 @@ def test_criterion_5_ablation_switches():
 
     def run_with(cfg: PipelineConfig):
         backend = ScriptedBackend(golden_rules())
-        return run_pipeline(BECKHAM_QUESTION, graph, cfg, Backends.scripted(backend)), backend
+        return run_pipeline(BECKHAM_QUESTION, graph, cfg, Backends.single(backend)), backend
 
     result, _ = run_with(PipelineConfig(decomposition_enabled=False))
     assert len(result.mind_map.nodes) == 1
@@ -282,7 +282,7 @@ def test_criterion_8_termination_under_adversarial_continue():
     ]
     for max_depth in (0, 1, 2, 3):
         backend = ScriptedBackend(backend_rules)
-        m = build_mind_map("root?", backend, DecompositionConfig(max_depth=max_depth))
+        m = build_mind_map("root?", backend, PipelineConfig(max_depth=max_depth))
         leaves = [n for n in m.nodes.values() if not n.children]
         assert all(n.state is NodeState.END for n in leaves)
         assert max(n.depth for n in m.nodes.values()) <= max_depth

@@ -74,6 +74,19 @@ class TestAsk:
             outputs.append((capsys.readouterr().out, trace_path.read_bytes()))
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_trace_matches_golden_fixture(self, tmp_path, capsys):
+        trace_path = tmp_path / "trace.jsonl"
+        main(
+            [
+                "ask",
+                "--graph", GRAPH,
+                "--question", BECKHAM_QUESTION,
+                "--script", SCRIPT,
+                "--trace", str(trace_path),
+            ]
+        )
+        assert trace_path.read_bytes() == (FIXTURES / "beckham_trace.jsonl").read_bytes()
+
     def test_no_backend_available(self, monkeypatch, capsys):
         monkeypatch.delenv("COGGRAG_LLM_URL", raising=False)
         code = main(["ask", "--graph", GRAPH, "--question", "q?"])
@@ -143,6 +156,27 @@ class TestBench:
             if parts and parts[0].endswith("_rate"):
                 rates[parts[0]] = float(parts[1])
         assert sum(rates.values()) == pytest.approx(1.0)
+
+
+class TestBadConfig:
+    @pytest.mark.parametrize("command", ["ask", "bench"])
+    def test_env_value_out_of_range_fails_before_running(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("COGGRAG_MAX_TOKENS", "0")
+        report_path = tmp_path / "report.jsonl"
+        # the graph path does not exist: the config must fail before it is read
+        argv = {
+            "ask": ["ask", "--question", BECKHAM_QUESTION],
+            "bench": ["bench", "--dataset", DATASET, "--report", str(report_path)],
+        }[command]
+        code = main([*argv, "--graph", str(tmp_path / "missing.tsv"), "--script", SCRIPT])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert "max_tokens" in captured.err
+        assert captured.out == ""
+        assert not report_path.exists()
 
 
 class TestScriptCheck:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from kgqa.config import PipelineConfig
 from kgqa.extraction import (
     EntityKey,
     KeySet,
@@ -19,6 +20,9 @@ from kgqa.extraction import (
 )
 from kgqa.llm import ScriptRule, ScriptedBackend
 from kgqa.mindmap import single_node_map
+
+
+CFG = PipelineConfig()
 
 
 def backend_for(head_snippet: str, reply: str) -> ScriptedBackend:
@@ -81,26 +85,26 @@ class TestParseLocalReply:
 class TestExtractLocal:
     def test_beckham_keys(self, golden_backend):
         m = single_node_map("Which football manager recruited David Beckham?")
-        keys = extract_local_keys(m, golden_backend)
+        keys = extract_local_keys(m, golden_backend, CFG)
         assert EntityKey("David Beckham") in keys
         assert TripleKey("manager", "recruited", "David Beckham") in keys
 
     def test_empty_reply_yields_no_keys(self):
         m = single_node_map("Q?")
-        assert extract_local_keys(m, backend_for("extract the entities", "")) == []
+        assert extract_local_keys(m, backend_for("extract the entities", ""), CFG) == []
 
     def test_unparseable_reply_warns(self):
         m = single_node_map("Q?")
         warnings: list[str] = []
         keys = extract_local_keys(
-            m, backend_for("extract the entities", "no angle brackets"), warnings=warnings
+            m, backend_for("extract the entities", "no angle brackets"), CFG, warnings=warnings
         )
         assert keys == []
         assert warnings
 
     def test_uses_exploration_temperature(self, golden_backend):
         m = single_node_map("Q?")
-        extract_local_keys(m, golden_backend)
+        extract_local_keys(m, golden_backend, CFG)
         assert golden_backend.records[0].temperature == 0.4
 
 
@@ -127,7 +131,7 @@ class TestGroupSubgraphs:
 class TestExtractGlobal:
     def test_beckham_subgraph(self, golden_backend):
         m = single_node_map("Q?")
-        keys = extract_global_keys(m, golden_backend)
+        keys = extract_global_keys(m, golden_backend, CFG)
         assert keys == [
             SubgraphKey(
                 (
@@ -143,7 +147,7 @@ class TestExtractGlobal:
             ' ("Paris", "population", "Population Number")]'
         )
         m = single_node_map("Q?")
-        keys = extract_global_keys(m, backend_for("extract the subgraphs", reply))
+        keys = extract_global_keys(m, backend_for("extract the subgraphs", reply), CFG)
         assert len(keys) == 1
         assert isinstance(keys[0], SubgraphKey)
         assert len(keys[0].triples) == 3
@@ -151,14 +155,14 @@ class TestExtractGlobal:
     def test_disjoint_triples_demote_to_triple_keys(self):
         reply = '[("a", "r", "b"), ("c", "r", "d")]'
         m = single_node_map("Q?")
-        keys = extract_global_keys(m, backend_for("extract the subgraphs", reply))
+        keys = extract_global_keys(m, backend_for("extract the subgraphs", reply), CFG)
         assert keys == [TripleKey("a", "r", "b"), TripleKey("c", "r", "d")]
 
     def test_unparseable_reply_warns(self):
         m = single_node_map("Q?")
         warnings: list[str] = []
         keys = extract_global_keys(
-            m, backend_for("extract the subgraphs", "prose only"), warnings=warnings
+            m, backend_for("extract the subgraphs", "prose only"), CFG, warnings=warnings
         )
         assert keys == []
         assert warnings

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgqa.config import PipelineConfig
 from kgqa.llm import ScriptRule, ScriptedBackend
 from kgqa.mindmap import (
-    DecompositionConfig,
     MindMap,
     MindMapNode,
     NodeState,
@@ -45,7 +45,7 @@ class TestNodeState:
 
 class TestDecomposeQuestion:
     def test_laleli_three_subquestions_all_end(self):
-        cfg = DecompositionConfig()
+        cfg = PipelineConfig()
         result = decompose_question(
             "Are the Laleli Mosque and Esma Sultan Mansion located in the same neighborhood?",
             scripted(LALELI_REPLY),
@@ -56,30 +56,30 @@ class TestDecomposeQuestion:
         assert result[0][0] == "Where is the Laleli Mosque located?"
 
     def test_empty_list_falls_back_to_atomic(self):
-        result = decompose_question("Q?", scripted("[]"), DecompositionConfig())
+        result = decompose_question("Q?", scripted("[]"), PipelineConfig())
         assert result == [("Q?", NodeState.END)]
 
     def test_prose_falls_back_with_warning(self):
         warnings: list[str] = []
         result = decompose_question(
-            "Q?", scripted("I cannot decompose this."), DecompositionConfig(), warnings
+            "Q?", scripted("I cannot decompose this."), PipelineConfig(), warnings
         )
         assert result == [("Q?", NodeState.END)]
         assert warnings
 
     def test_retries_then_falls_back(self):
         backend = scripted("no list here")
-        decompose_question("Q?", backend, DecompositionConfig(max_parse_retries=2))
+        decompose_question("Q?", backend, PipelineConfig(max_parse_retries=2))
         assert len(backend.records) == 3
 
     def test_uses_exploration_temperature(self):
         backend = scripted(LALELI_REPLY)
-        decompose_question("Q?", backend, DecompositionConfig())
+        decompose_question("Q?", backend, PipelineConfig())
         assert backend.records[0].temperature == 0.4
 
     def test_empty_question_rejected(self):
         with pytest.raises(ValueError):
-            decompose_question("  ", scripted("[]"), DecompositionConfig())
+            decompose_question("  ", scripted("[]"), PipelineConfig())
 
 
 class TestParseReply:
@@ -102,7 +102,7 @@ class TestParseReply:
 
 class TestBuildMindMap:
     def test_beckham_two_leaves(self, golden_backend):
-        m = build_mind_map(BECKHAM_QUESTION, golden_backend, DecompositionConfig())
+        m = build_mind_map(BECKHAM_QUESTION, golden_backend, PipelineConfig())
         root = m.node(m.root)
         assert root.question == BECKHAM_QUESTION
         assert root.depth == 0
@@ -111,7 +111,7 @@ class TestBuildMindMap:
         assert root.state is NodeState.CONTINUE
 
     def test_max_depth_zero_single_node(self, golden_backend):
-        m = build_mind_map(BECKHAM_QUESTION, golden_backend, DecompositionConfig(max_depth=0))
+        m = build_mind_map(BECKHAM_QUESTION, golden_backend, PipelineConfig(max_depth=0))
         assert len(m.nodes) == 1
         assert m.node(m.root).state is NodeState.END
         assert golden_backend.records == []
@@ -131,7 +131,7 @@ class TestBuildMindMap:
                 ),
             ]
         )
-        m = build_mind_map("root?", backend, DecompositionConfig(max_depth=3))
+        m = build_mind_map("root?", backend, PipelineConfig(max_depth=3))
         assert len(m.nodes) == 5
         assert m.node("0.0").state is NodeState.CONTINUE
         assert m.node("0.0").children == ["0.0.0", "0.0.1"]
@@ -146,7 +146,7 @@ class TestBuildMindMap:
                 )
             ]
         )
-        m = build_mind_map("root?", backend, DecompositionConfig())
+        m = build_mind_map("root?", backend, PipelineConfig())
         assert len(m.nodes) == 1
         assert m.node(m.root).state is NodeState.END
 
@@ -161,7 +161,7 @@ class TestBuildMindMap:
                 )
             ]
         )
-        m = build_mind_map("root?", backend, DecompositionConfig(max_depth=max_depth))
+        m = build_mind_map("root?", backend, PipelineConfig(max_depth=max_depth))
         depths = [n.depth for n in m.nodes.values()]
         assert max(depths) <= max_depth
         leaves = [n for n in m.nodes.values() if not n.children]
@@ -172,7 +172,7 @@ class TestBuildMindMap:
     def test_deterministic_across_runs(self):
         def build():
             backend = ScriptedBackend(golden_rules())
-            return build_mind_map(BECKHAM_QUESTION, backend, DecompositionConfig())
+            return build_mind_map(BECKHAM_QUESTION, backend, PipelineConfig())
 
         from conftest import golden_rules
 
@@ -180,7 +180,7 @@ class TestBuildMindMap:
         assert a.to_records() == b.to_records()
 
     def test_invariants_hold(self, golden_backend):
-        m = build_mind_map(BECKHAM_QUESTION, golden_backend, DecompositionConfig())
+        m = build_mind_map(BECKHAM_QUESTION, golden_backend, PipelineConfig())
         for node in m.nodes.values():
             if node.parent is None:
                 assert node.id == m.root and node.depth == 0
@@ -222,7 +222,7 @@ class TestBottomUpOrder:
         assert bottom_up_order(m) == ["0"]
 
     def test_beckham_leaves_first(self, golden_backend):
-        m = build_mind_map(BECKHAM_QUESTION, golden_backend, DecompositionConfig())
+        m = build_mind_map(BECKHAM_QUESTION, golden_backend, PipelineConfig())
         assert bottom_up_order(m) == ["0.0", "0.1", "0"]
 
     @settings(max_examples=100, deadline=None)

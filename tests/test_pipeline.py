@@ -1,16 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 
 import pytest
 
+from kgqa.config import load_config, parse_config_lines
 from kgqa.llm import ScriptRule, ScriptedBackend
 from kgqa.pipeline import (
     Backends,
     PipelineConfig,
     PipelineStageError,
-    load_config,
-    parse_config_lines,
     run_pipeline,
     write_trace,
 )
@@ -18,9 +18,28 @@ from kgqa.pipeline import (
 from conftest import BECKHAM_QUESTION, SUB_Q1, SUB_Q2, golden_rules
 
 
+# One out-of-range value per bounded field; NaN must not slip past a bound.
+OUT_OF_RANGE = [
+    ("epsilon", -0.1),
+    ("epsilon", 1.5),
+    ("epsilon", float("nan")),
+    ("resolve_threshold", 5.0),
+    ("resolve_threshold", -1.5),
+    ("hops", 0),
+    ("hub_cap", 0),
+    ("max_evidence_triples", 0),
+    ("max_tokens", 0),
+    ("embedding_dim", 0),
+    ("max_depth", -1),
+    ("max_parse_retries", -1),
+    ("exploration_temperature", -1.0),
+    ("reasoning_temperature", -1.0),
+]
+
+
 @pytest.fixture
 def golden_backends(golden_backend) -> Backends:
-    return Backends.scripted(golden_backend)
+    return Backends.single(golden_backend)
 
 
 class TestConfig:
@@ -35,6 +54,42 @@ class TestConfig:
     def test_epsilon_bounds(self):
         with pytest.raises(ValueError):
             PipelineConfig(epsilon=1.2)
+
+    @pytest.mark.parametrize(
+        "name, value", OUT_OF_RANGE, ids=[f"{name}={value}" for name, value in OUT_OF_RANGE]
+    )
+    def test_out_of_range_value_rejected(self, name, value, monkeypatch):
+        with pytest.raises(ValueError, match=name):
+            PipelineConfig(**{name: value})
+        monkeypatch.setenv("COGGRAG_" + name.upper(), str(value))
+        with pytest.raises(ValueError, match=name):
+            load_config()
+
+    def test_range_edges_accepted(self):
+        PipelineConfig(
+            epsilon=0.0,
+            resolve_threshold=-1.0,
+            hops=1,
+            hub_cap=1,
+            max_evidence_triples=1,
+            max_tokens=1,
+            embedding_dim=1,
+            max_depth=0,
+            max_parse_retries=0,
+            exploration_temperature=0.0,
+            reasoning_temperature=0.0,
+        )
+        PipelineConfig(epsilon=1.0, resolve_threshold=1.0)
+
+    def test_out_of_range_file_value_rejected(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("max_parse_retries = -1\n")
+        with pytest.raises(ValueError, match="max_parse_retries"):
+            load_config(str(path))
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            PipelineConfig().epsilon = 0.5  # type: ignore[misc]
 
     def test_parse_config_lines(self):
         values = parse_config_lines(
@@ -101,7 +156,7 @@ class TestRunPipeline:
 
     def test_stage_error_labels_reasoning(self, fixture_graph):
         rules = [r for r in golden_rules() if "logical verification" not in r.patterns[0]]
-        backends = Backends.scripted(ScriptedBackend(rules))
+        backends = Backends.single(ScriptedBackend(rules))
         with pytest.raises(PipelineStageError) as exc:
             run_pipeline(BECKHAM_QUESTION, fixture_graph, PipelineConfig(), backends)
         assert exc.value.stage == "reasoning"
@@ -109,7 +164,7 @@ class TestRunPipeline:
 
     def test_stage_error_labels_extraction(self, fixture_graph):
         rules = [ScriptRule(patterns=("decompose",), reply="[]")]
-        backends = Backends.scripted(ScriptedBackend(rules))
+        backends = Backends.single(ScriptedBackend(rules))
         with pytest.raises(PipelineStageError) as exc:
             run_pipeline(BECKHAM_QUESTION, fixture_graph, PipelineConfig(), backends)
         assert exc.value.stage == "extraction"
@@ -118,7 +173,7 @@ class TestRunPipeline:
 class TestWriteTrace:
     def test_trace_contents_and_determinism(self, fixture_graph):
         def render() -> str:
-            backends = Backends.scripted(ScriptedBackend(golden_rules()))
+            backends = Backends.single(ScriptedBackend(golden_rules()))
             cfg = PipelineConfig()
             result = run_pipeline(BECKHAM_QUESTION, fixture_graph, cfg, backends)
             buffer = io.StringIO()

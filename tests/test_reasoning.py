@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from kgqa.config import PipelineConfig
 from kgqa.embedding import HashedEmbedder
 from kgqa.extraction import TripleKey, build_key_set
 from kgqa.kg_store import Triple
@@ -11,7 +12,6 @@ from kgqa.reasoning import (
     ABSTENTION_PHRASE,
     Outcome,
     ReasoningAborted,
-    ReasoningConfig,
     RetrievedTripleSet,
     VerifiedAnswer,
     answer_node,
@@ -25,6 +25,9 @@ from kgqa.reasoning import (
 from kgqa.retrieval import filter_by_similarity
 
 
+CFG = PipelineConfig()
+
+
 def no_evidence() -> RetrievedTripleSet:
     return RetrievedTripleSet(kept=(), candidate_count=0, epsilon=0.7)
 
@@ -32,7 +35,7 @@ def no_evidence() -> RetrievedTripleSet:
 def beckham_evidence() -> RetrievedTripleSet:
     t = Triple.from_surface("David Beckham", "recruited_by", "Alex Ferguson")
     keys = build_key_set([TripleKey("David Beckham", "recruited_by", "Alex Ferguson")])
-    return filter_by_similarity({t}, keys, HashedEmbedder(), 0.5)
+    return filter_by_similarity({t}, keys, HashedEmbedder(), PipelineConfig(epsilon=0.5))
 
 
 def res_backend(reply: str) -> ScriptedBackend:
@@ -57,30 +60,30 @@ class TestDetectAbstention:
 class TestAnswerNode:
     def test_bracketed_answer_extracted(self):
         backend = res_backend("[Alex Ferguson]")
-        answer = answer_node("Who recruited David Beckham?", beckham_evidence(), [], backend)
+        answer = answer_node("Who recruited David Beckham?", beckham_evidence(), [], backend, CFG)
         assert answer == "Alex Ferguson"
 
     def test_abstention_reply_passed_through(self):
         backend = res_backend(f"[{ABSTENTION_PHRASE}]")
-        answer = answer_node("Q?", no_evidence(), [], backend)
+        answer = answer_node("Q?", no_evidence(), [], backend, CFG)
         assert detect_abstention(answer)
 
     def test_no_brackets_returns_raw_with_warning(self):
         warnings: list[str] = []
         backend = res_backend("raw completion text")
-        answer = answer_node("Q?", no_evidence(), [], backend, warnings=warnings)
+        answer = answer_node("Q?", no_evidence(), [], backend, CFG, warnings=warnings)
         assert answer == "raw completion text"
         assert warnings
 
     def test_reasoning_temperature_zero(self):
         backend = res_backend("[x]")
-        answer_node("Q?", no_evidence(), [], backend)
+        answer_node("Q?", no_evidence(), [], backend, CFG)
         assert backend.records[0].temperature == 0.0
 
     def test_prompt_contains_evidence_and_verified(self):
         backend = res_backend("[x]")
         verified = [VerifiedAnswer(question="prior?", answer="prior answer", node="0.0")]
-        answer_node("Q?", beckham_evidence(), verified, backend)
+        answer_node("Q?", beckham_evidence(), verified, backend, CFG)
         prompt = backend.records[0].prompt
         assert "(David Beckham, recruited_by, Alex Ferguson)" in prompt
         assert "Q: prior?" in prompt and "A: prior answer" in prompt
@@ -88,38 +91,40 @@ class TestAnswerNode:
 
 class TestVerifyAnswer:
     def test_right(self):
-        assert verify_answer("Q?", "a", no_evidence(), [], ver_backend("[right]")) is True
+        assert verify_answer("Q?", "a", no_evidence(), [], ver_backend("[right]"), CFG) is True
 
     def test_wrong_case_insensitive(self):
-        assert verify_answer("Q?", "a", no_evidence(), [], ver_backend("[WRONG]")) is False
+        assert verify_answer("Q?", "a", no_evidence(), [], ver_backend("[WRONG]"), CFG) is False
 
     def test_unparseable_verdict_conservative(self):
         warnings: list[str] = []
-        verdict = verify_answer("Q?", "a", no_evidence(), [], ver_backend("maybe"), warnings=warnings)
+        verdict = verify_answer(
+            "Q?", "a", no_evidence(), [], ver_backend("maybe"), CFG, warnings=warnings
+        )
         assert verdict is False
         assert warnings
 
     def test_answer_bound_in_prompt(self):
         backend = ver_backend("[right]")
-        verify_answer("Q?", "my candidate", no_evidence(), [], backend)
+        verify_answer("Q?", "my candidate", no_evidence(), [], backend, CFG)
         assert "Answer: my candidate" in backend.records[0].prompt
 
 
 class TestRethinkNode:
     def test_bracketed_rethink(self):
         backend = ScriptedBackend([ScriptRule(patterns=("re-think",), reply="[Carabao Cup]")])
-        assert rethink_node("Q?", no_evidence(), [], backend) == "Carabao Cup"
+        assert rethink_node("Q?", no_evidence(), [], backend, CFG) == "Carabao Cup"
 
     def test_abstention_rethink(self):
         backend = ScriptedBackend(
             [ScriptRule(patterns=("re-think",), reply=f"[{ABSTENTION_PHRASE}]")]
         )
-        assert detect_abstention(rethink_node("Q?", no_evidence(), [], backend))
+        assert detect_abstention(rethink_node("Q?", no_evidence(), [], backend, CFG))
 
     def test_rethink_after_true_verdict_is_contract_violation(self):
         backend = ScriptedBackend([ScriptRule(patterns=("re-think",), reply="[x]")])
         with pytest.raises(ValueError):
-            rethink_node("Q?", no_evidence(), [], backend, verdict=True)
+            rethink_node("Q?", no_evidence(), [], backend, CFG, verdict=True)
 
 
 class TestSerializers:
@@ -148,7 +153,7 @@ class TestSolve:
                 ScriptRule(patterns=("logical verification",), reply="[right]"),
             ]
         )
-        trace = solve(m, no_evidence(), backend, backend)
+        trace = solve(m, no_evidence(), backend, backend, CFG)
         assert len(trace.records) == 1
         assert trace.final_answer == "final"
         assert trace.verify_calls == 1
@@ -163,7 +168,7 @@ class TestSolve:
                 ScriptRule(patterns=("re-think",), reply="[Carabao Cup]"),
             ]
         )
-        trace = solve(m, no_evidence(), backend, backend)
+        trace = solve(m, no_evidence(), backend, backend, CFG)
         record = trace.records[0]
         assert record.verdict is False
         assert record.rethink == "Carabao Cup"
@@ -176,7 +181,7 @@ class TestSolve:
         backend = scripted_session(
             [ScriptRule(patterns=("answer the questions",), reply="[a]")]
         )
-        trace = solve(m, no_evidence(), backend, backend, ReasoningConfig(verification_enabled=False))
+        trace = solve(m, no_evidence(), backend, backend, PipelineConfig(verification_enabled=False))
         assert trace.verify_calls == 0
         assert trace.rethink_calls == 0
         assert trace.records[0].verdict is True
@@ -190,16 +195,16 @@ class TestSolve:
                 ScriptRule(patterns=("logical verification",), reply="[right]"),
             ]
         )
-        trace = solve(m, no_evidence(), backend, backend)
+        trace = solve(m, no_evidence(), backend, backend, CFG)
         assert trace.records[0].outcome is Outcome.ABSTAINED
         assert detect_abstention(trace.final_answer)
 
     def test_verified_set_grows_in_order(self, golden_backend, fixture_graph):
-        from kgqa.mindmap import DecompositionConfig, build_mind_map
+        from kgqa.mindmap import build_mind_map
         from conftest import BECKHAM_QUESTION, SUB_Q1
 
-        m = build_mind_map(BECKHAM_QUESTION, golden_backend, DecompositionConfig())
-        trace = solve(m, no_evidence(), golden_backend, golden_backend)
+        m = build_mind_map(BECKHAM_QUESTION, golden_backend, CFG)
+        trace = solve(m, no_evidence(), golden_backend, golden_backend, CFG)
         # root's reasoning prompt must carry both verified leaf answers
         res_prompts = [
             r.prompt
@@ -227,5 +232,5 @@ class TestSolve:
             ]
         )
         with pytest.raises(ReasoningAborted) as exc:
-            solve(m, no_evidence(), backend, backend)
+            solve(m, no_evidence(), backend, backend, CFG)
         assert len(exc.value.partial_trace.records) == 1
