@@ -51,6 +51,11 @@ class PipelineConfig:
     model: str = "default"
 
     def __post_init__(self) -> None:
+        for name, kind in _KINDS.items():
+            value = getattr(self, name)
+            # bool is an int subclass, so True passes isinstance(value, int)
+            if not isinstance(value, _ACCEPTED[kind]) or (kind is not bool and isinstance(value, bool)):
+                raise ValueError(f"config key '{name}': expected {kind.__name__}, got {value!r}")
         for name, (low, high) in _BOUNDS.items():
             value = getattr(self, name)
             # written so that NaN fails too
@@ -61,6 +66,9 @@ class PipelineConfig:
 
 # Field name -> the type a text value is coerced to.
 _KINDS = {f.name: type(f.default) for f in fields(PipelineConfig)}
+
+# Field type -> the value types a field of that type accepts.
+_ACCEPTED = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 

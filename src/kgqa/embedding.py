@@ -22,6 +22,12 @@ import numpy as np
 
 DEFAULT_DIMENSION = 256
 
+# A vectorised score may differ from ``cosine_sim``'s by a few ulps, because
+# its sums run in another order; far less than this. Callers that rank or
+# threshold vectorised scores re-score with ``cosine_sim`` every row this
+# close to the boundary, so the exact result is always among them.
+RESCORE_TOLERANCE = 1e-9
+
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
 
@@ -42,6 +48,13 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
         return 0.0
     score = float(np.dot(u, v)) / (nu * nv)
     return max(-1.0, min(1.0, score))
+
+
+def inverse_norms(matrix: np.ndarray) -> np.ndarray:
+    """1 / the L2 norm of each row of ``matrix``; 0 for a zero row."""
+    # einsum avoids the n x dim temporary that np.linalg.norm(axis=1) makes.
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    return np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
 
 
 def embed_matrix(embedder: Embedder, texts: Sequence[str]) -> np.ndarray:

@@ -16,12 +16,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .embedding import Embedder, cosine_sim, embed_matrix
-
-# A fuzzy resolve re-scores with ``cosine_sim`` every entity whose vectorised
-# score lies this close to the best one. Summation order moves a score by a
-# few ulps, far less than this, so the exact best is always among them.
-_RESCORE_TOLERANCE = 1e-9
+from .embedding import RESCORE_TOLERANCE, Embedder, cosine_sim, embed_matrix, inverse_norms
 
 
 def normalize(text: str) -> str:
@@ -162,7 +157,7 @@ class KnowledgeGraph:
         scores *= inv_norms
         scores *= (1.0 / mention_norm) if mention_norm > 0.0 else 0.0
         np.clip(scores, -1.0, 1.0, out=scores)
-        floor = max(float(scores.max()), threshold) - _RESCORE_TOLERANCE
+        floor = max(float(scores.max()), threshold) - RESCORE_TOLERANCE
         best: Optional[EntityId] = None
         best_score = threshold
         for row in np.flatnonzero(scores >= floor):
@@ -177,10 +172,7 @@ class KnowledgeGraph:
             index = self._indexes.get(embedder)
             if index is None:
                 matrix = embed_matrix(embedder, [e.canonical for e in self._sorted_entities])
-                # einsum avoids the n x dim temporary that np.linalg.norm(axis=1) makes.
-                norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-                inv_norms = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
-                index = self._indexes[embedder] = (matrix, inv_norms)
+                index = self._indexes[embedder] = (matrix, inverse_norms(matrix))
         return index
 
     def neighbors(self, entity: "EntityId | str", hops: int = 1) -> set[Triple]:

@@ -3,6 +3,12 @@
 A triple survives when its best cosine similarity against any key text
 strictly exceeds epsilon. The kept set is canonically sorted so results do
 not depend on candidate iteration order.
+
+Candidates are scored against all keys at once, ``_BLOCK_ROWS`` triples per
+matrix product. Those scores rank a hub's expansion for the hub cap and
+pre-screen the epsilon filter; every triple the filter keeps is re-scored
+exactly by ``_best_key``, so kept triples, keys and scores do not depend on
+the order of the vectorised sums.
 """
 from __future__ import annotations
 
@@ -11,9 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .embedding import Embedder, cosine_sim
+from .embedding import RESCORE_TOLERANCE, Embedder, cosine_sim, inverse_norms
 from .extraction import Key, KeySet
 from .kg_store import KnowledgeGraph, Triple
+
+# Triples embedded and scored per matrix product. The one block buffer costs
+# _BLOCK_ROWS x dimension x 8 bytes (1 MB at 256 dimensions) however large an
+# expansion is, where stacking a whole expansion would grow with the hub.
+_BLOCK_ROWS = 512
 
 
 def serialize_triple(t: Triple) -> str:
@@ -56,6 +67,58 @@ def _best_key(
     return best_key, best
 
 
+def _max_scores(
+    triples: list[Triple], embedder: Embedder, key_vectors: list[tuple[Key, np.ndarray]]
+) -> np.ndarray:
+    """Each triple's best cosine similarity over the keys, by blocked matrix products.
+
+    A score agrees with ``_best_key``'s to within a few ulps, not bitwise:
+    its sums run in another order. Rows go through ``embed``, so a caching
+    embedder serves them from its cache.
+    """
+    key_matrix = np.stack([vec for _, vec in key_vectors])
+    key_inv_norms = inverse_norms(key_matrix)
+    scores = np.empty(len(triples))
+    block = np.empty((min(len(triples), _BLOCK_ROWS), embedder.dimension))
+    for start in range(0, len(triples), _BLOCK_ROWS):
+        rows = block[: min(_BLOCK_ROWS, len(triples) - start)]
+        for row, triple in zip(rows, triples[start : start + len(rows)]):
+            row[:] = embedder.embed(serialize_triple(triple))
+        sims = rows @ key_matrix.T
+        sims *= inverse_norms(rows)[:, None]
+        sims *= key_inv_norms
+        np.clip(sims, -1.0, 1.0, out=sims)
+        sims.max(axis=1, out=scores[start : start + len(rows)])
+    return scores
+
+
+def _hub_cap(
+    expansion: set[Triple],
+    embedder: Embedder,
+    key_vectors: list[tuple[Key, np.ndarray]],
+    cap: int,
+) -> list[Triple]:
+    """The ``cap`` triples of ``expansion`` that score highest against the keys.
+
+    Let ``cut`` be the cap-th highest vectorised score. Triples scoring more
+    than ``RESCORE_TOLERANCE`` above it are in; those within the tolerance
+    of it fill the places left in ``Triple.sort_key`` order. Scores that are
+    mathematically equal can differ by a few ulps with summation order, so
+    ties at the cap break by ``sort_key``, not by that noise; only triples
+    within the tolerance of ``cut`` can be chosen differently than by exact
+    ``_best_key`` scores. With no keys the lexicographically first triples win.
+    """
+    if not key_vectors:
+        return sorted(expansion, key=Triple.sort_key)[:cap]
+    rows = list(expansion)
+    scores = _max_scores(rows, embedder, key_vectors)
+    cut = np.partition(scores, len(rows) - cap)[len(rows) - cap]
+    above = np.flatnonzero(scores > cut + RESCORE_TOLERANCE)
+    near = np.flatnonzero(np.abs(scores - cut) <= RESCORE_TOLERANCE)
+    ties = sorted((rows[i] for i in near), key=Triple.sort_key)
+    return [rows[i] for i in above] + ties[: cap - len(above)]
+
+
 def gather_candidates(
     g: KnowledgeGraph,
     keys: KeySet,
@@ -65,8 +128,7 @@ def gather_candidates(
     """Union of neighborhood expansions over every resolvable key mention.
 
     Per-entity expansion is truncated at the hub cap, preferring the
-    highest-scoring triples against the key set (lexicographically first
-    when no keys can score).
+    highest-scoring triples against the key set (see ``_hub_cap``).
     """
     key_vectors = _embed_keys(keys, embedder)
     candidates: set[Triple] = set()
@@ -76,15 +138,9 @@ def gather_candidates(
             continue
         expansion = g.neighbors(entity, cfg.hops)
         if len(expansion) > cfg.hub_cap:
-            if key_vectors:
-                ranked = sorted(
-                    expansion,
-                    key=lambda t: (-_best_key(t, embedder, key_vectors)[1], t.sort_key()),
-                )
-            else:
-                ranked = sorted(expansion, key=Triple.sort_key)
-            expansion = set(ranked[: cfg.hub_cap])
-        candidates |= expansion
+            candidates.update(_hub_cap(expansion, embedder, key_vectors, cfg.hub_cap))
+        else:
+            candidates.update(expansion)
     return candidates
 
 
@@ -94,12 +150,19 @@ def filter_by_similarity(
     embedder: Embedder,
     cfg: PipelineConfig,
 ) -> RetrievedTripleSet:
-    """Keep candidates whose max similarity over keys strictly exceeds epsilon."""
+    """Keep candidates whose max similarity over keys strictly exceeds epsilon.
+
+    Only candidates whose vectorised score lies above epsilon less
+    ``RESCORE_TOLERANCE`` are scored exactly by ``_best_key``.
+    """
     key_vectors = _embed_keys(keys, embedder)
     kept: list[ScoredTriple] = []
-    for triple in candidates:
-        best_key, best = _best_key(triple, embedder, key_vectors)
-        if best_key is not None and best > cfg.epsilon:
-            kept.append(ScoredTriple(triple=triple, best_key=best_key, score=best))
+    if key_vectors:
+        rows = list(candidates)
+        scores = _max_scores(rows, embedder, key_vectors)
+        for i in np.flatnonzero(scores > cfg.epsilon - RESCORE_TOLERANCE):
+            best_key, best = _best_key(rows[i], embedder, key_vectors)
+            if best > cfg.epsilon:
+                kept.append(ScoredTriple(triple=rows[i], best_key=best_key, score=best))
     kept.sort(key=lambda s: (-s.score, s.triple.sort_key()))
     return RetrievedTripleSet(kept=tuple(kept), candidate_count=len(candidates), epsilon=cfg.epsilon)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from kgqa.embedding import CachingEmbedder, HashedEmbedder
 from kgqa.kg_store import KnowledgeGraph, load_graph_file
 from kgqa.llm import ScriptedBackend, parse_script
 
@@ -32,3 +33,23 @@ def golden_rules():
 def golden_backend() -> ScriptedBackend:
     # fresh backend per test so recorded requests start empty
     return ScriptedBackend(golden_rules())
+
+
+class ScaledEmbedder:
+    """Hashed vectors scaled by text length: non-unit, and no ``embed_many``."""
+
+    def __init__(self, dimension):
+        self.dimension = dimension
+        self._unit = HashedEmbedder(dimension)
+
+    def embed(self, text):
+        return (1.0 + len(text)) * self._unit.embed(text)
+
+
+def make_embedder(kind, dimension):
+    """A hashed, a caching or a scaled embedder of ``dimension``."""
+    if kind == "hashed":
+        return HashedEmbedder(dimension)
+    if kind == "caching":
+        return CachingEmbedder(HashedEmbedder(dimension))
+    return ScaledEmbedder(dimension)

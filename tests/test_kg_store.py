@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import make_embedder
 from kgqa.embedding import CachingEmbedder, HashedEmbedder, cosine_sim
 from kgqa.kg_store import (
     EntityId,
@@ -172,28 +173,9 @@ def reference_resolve(g, mention, embedder, threshold):
     return best
 
 
-class ScaledEmbedder:
-    """Hashed vectors scaled by text length: non-unit, and no ``embed_many``."""
-
-    def __init__(self, dimension):
-        self.dimension = dimension
-        self._unit = HashedEmbedder(dimension)
-
-    def embed(self, text):
-        return (1.0 + len(text)) * self._unit.embed(text)
-
-
 # Few words and few buckets give many exact ties: names that are token
 # permutations of each other, and bucket collisions between different words.
 _words = st.lists(st.sampled_from(["ash", "birch", "cedar", "elm", "fir"]), min_size=1, max_size=3)
-
-
-def _make_embedder(kind, dimension):
-    if kind == "hashed":
-        return HashedEmbedder(dimension)
-    if kind == "caching":
-        return CachingEmbedder(HashedEmbedder(dimension))
-    return ScaledEmbedder(dimension)
 
 
 @settings(max_examples=200, deadline=None)
@@ -208,7 +190,7 @@ def _make_embedder(kind, dimension):
 @example(names=[["ash"], ["elm", "fir"]], mention="!!!", kind="hashed", dimension=8, threshold=0.7)
 @example(names=[["ash"], ["elm", "fir"]], mention="!!!", kind="scaled", dimension=8, threshold=-0.1)
 def test_resolve_entity_matches_reference_scan(names, mention, kind, dimension, threshold):
-    embedder = _make_embedder(kind, dimension)
+    embedder = make_embedder(kind, dimension)
     # Each name also appears as a permutation of its tokens: an exact tie.
     surfaces = [" ".join(w) for w in names] + [" ".join(reversed(w)) for w in names]
     g = KnowledgeGraph(Triple.from_surface(s, "r", "hub") for s in surfaces)

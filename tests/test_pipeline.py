@@ -65,6 +65,26 @@ class TestConfig:
         with pytest.raises(ValueError, match=name):
             load_config()
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("hops", 1.5),
+            ("hops", "2"),
+            ("hub_cap", True),
+            ("epsilon", False),
+            ("epsilon", "0.5"),
+            ("decomposition_enabled", "no"),
+            ("verification_enabled", 1),
+            ("model", 3),
+        ],
+    )
+    def test_wrong_type_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"config key '{name}': expected"):
+            PipelineConfig(**{name: value})
+
+    def test_int_accepted_for_float_field(self):
+        assert PipelineConfig(epsilon=1, resolve_threshold=0).epsilon == 1
+
     def test_range_edges_accepted(self):
         PipelineConfig(
             epsilon=0.0,

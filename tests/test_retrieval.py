@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from typing import NamedTuple
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from conftest import make_embedder
 from kgqa.config import PipelineConfig
-from kgqa.embedding import HashedEmbedder
-from kgqa.extraction import EntityKey, KeySet, TripleKey, build_key_set
-from kgqa.kg_store import KnowledgeGraph, Triple
+from kgqa.embedding import RESCORE_TOLERANCE, CachingEmbedder, HashedEmbedder, cosine_sim
+from kgqa.extraction import EntityKey, KeySet, PairKey, SubgraphKey, TripleKey, build_key_set
+from kgqa.kg_store import KnowledgeGraph, Triple, normalize
 from kgqa.retrieval import (
     filter_by_similarity,
     gather_candidates,
@@ -187,3 +192,218 @@ class TestGatherCandidates:
         cfg = PipelineConfig(hops=2)
         candidates = gather_candidates(fixture_graph, keys, HashedEmbedder(), cfg)
         assert candidates == set(fixture_graph.triples)
+
+
+# The per-triple scan that the blocked scorer replaced, kept as the reference.
+
+
+def reference_best_key(triple, embedder, keys: KeySet):
+    """Per-pair ``cosine_sim`` over the scoring pairs; strict ``>``, so the first key wins."""
+    vec = embedder.embed(serialize_triple(triple))
+    best_key, best = None, float("-inf")
+    for key, text in keys.scoring_pairs():
+        score = cosine_sim(vec, embedder.embed(text))
+        if score > best:
+            best_key, best = key, score
+    return best_key, best
+
+
+def reference_filter(candidates, keys, embedder, epsilon):
+    kept = []
+    for t in candidates:
+        key, score = reference_best_key(t, embedder, keys)
+        if key is not None and score > epsilon:
+            kept.append((t, key, score))
+    kept.sort(key=lambda k: (-k[2], k[0].sort_key()))
+    return kept
+
+
+class CapReference(NamedTuple):
+    old: set  # ranked by exact score, then sort_key
+    new: set  # above the band around the cut, then the band in sort_key order
+    clear: bool  # no other triple scores within the tolerance of the cut
+    on_edge: bool  # some score lies about one tolerance from the cut, so ulps decide its side
+
+
+def reference_hub_cap(expansion, keys, embedder, cap) -> CapReference:
+    """The capped sets that exact scores give, under the old rule and the near-tie rule."""
+    scored = sorted((-reference_best_key(t, embedder, keys)[1], t.sort_key(), t) for t in expansion)
+    cut = -scored[cap - 1][0]
+    above = [t for s, _, t in scored if -s > cut + RESCORE_TOLERANCE]
+    near = [t for s, _, t in scored if abs(-s - cut) <= RESCORE_TOLERANCE]
+    return CapReference(
+        old={t for _, _, t in scored[:cap]},
+        new=set(above) | set(sorted(near, key=Triple.sort_key)[: cap - len(above)]),
+        clear=len(near) == 1,
+        on_edge=any(0.5 < abs(-s - cut) / RESCORE_TOLERANCE < 2.0 for s, _, _ in scored),
+    )
+
+
+# Few words and few buckets give many exact ties; "!!!" has no tokens, so it
+# embeds to the zero vector.
+_text = st.one_of(
+    st.lists(st.sampled_from(["ash", "birch", "cedar", "elm", "fir"]), min_size=1, max_size=3).map(" ".join),
+    st.just("!!!"),
+)
+_triple_key = st.tuples(_text, _text, _text).map(lambda p: TripleKey(*p))
+_keys = st.lists(
+    st.one_of(
+        _text.map(EntityKey),
+        st.tuples(_text, _text).map(lambda p: PairKey(*p)),
+        _triple_key,
+        # several scoring pairs for one key: its text and each constituent's
+        st.lists(_triple_key, min_size=2, max_size=3).map(lambda ts: SubgraphKey(tuple(ts))),
+    ),
+    max_size=5,
+).map(build_key_set)
+_kinds = st.sampled_from(["hashed", "caching", "scaled"])
+_dimensions = st.sampled_from([4, 8, 64])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    triples=st.lists(st.tuples(_text, _text, _text), max_size=30),
+    keys=_keys,
+    kind=_kinds,
+    dimension=_dimensions,
+    # A float is epsilon; an int picks an attained score as epsilon.
+    epsilon=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]), st.integers(0, 30)),
+)
+@example(
+    triples=[("!!!", "!!!", "!!!"), ("ash", "elm", "fir")],
+    keys=build_key_set([EntityKey("!!!"), EntityKey("ash elm")]),
+    kind="hashed",
+    dimension=64,
+    epsilon=0.0,
+)
+def test_filter_matches_reference_scan(triples, keys, kind, dimension, epsilon):
+    embedder = make_embedder(kind, dimension)
+    candidates = {Triple.from_surface(*t) for t in triples}
+    if isinstance(epsilon, int):
+        attained = sorted(
+            {s for t in candidates if 0.0 <= (s := reference_best_key(t, embedder, keys)[1]) <= 1.0}
+        )
+        epsilon = attained[epsilon % len(attained)] if attained else 0.5
+    result = filter_by_similarity(candidates, keys, embedder, eps(epsilon))
+    expected = reference_filter(candidates, keys, embedder, epsilon)
+    assert [(s.triple, s.best_key, s.score) for s in result.kept] == expected
+    assert all(s.best_key is key for s, (_, key, _) in zip(result.kept, expected))
+
+
+def hub_graph(tails):
+    return KnowledgeGraph(Triple.from_surface("hub", "links", tail) for tail in tails)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tails=st.lists(_text, min_size=2, max_size=40, unique=True),
+    keys=_keys,
+    kind=_kinds,
+    dimension=_dimensions,
+    cap=st.integers(1, 39),
+)
+def test_hub_cap_matches_reference_ranking(tails, keys, kind, dimension, cap):
+    embedder = make_embedder(kind, dimension)
+    graph = hub_graph(tails)
+    cap = 1 + cap % (graph.triple_count - 1)
+    keys = build_key_set([EntityKey("hub"), *keys.all_keys()])
+    # Only the exact mention "hub" resolves, so the hub's expansion is the one capped.
+    cfg = PipelineConfig(hub_cap=cap, resolve_threshold=1.0)
+    candidates = gather_candidates(graph, keys, embedder, cfg)
+    rest = set().union(*(graph.neighbors(m, 1) for m in keys.mentions() if normalize(m) != "hub"))
+    ref = reference_hub_cap(graph.neighbors("hub", 1), keys, embedder, cap)
+    assume(not ref.on_edge)
+    assert candidates == ref.new | rest
+    if ref.clear:
+        assert candidates == ref.old | rest
+
+
+def test_hub_cap_near_ties_break_by_sort_key():
+    embedder = HashedEmbedder()
+    graph = hub_graph(["birch elm yew", "elm birch fir", "elm elm"])
+    keys = build_key_set([EntityKey("hub"), EntityKey("birch birch")])
+    first, second, _ = sorted(graph.triples)
+    # Both score 1/sqrt(5) against both keys, but the sums differ in the last ulp.
+    low, high = (reference_best_key(t, embedder, keys)[1] for t in (first, second))
+    assert low < high <= low + RESCORE_TOLERANCE
+    candidates = gather_candidates(graph, keys, embedder, PipelineConfig(hub_cap=1))
+    assert candidates == {first}
+    assert reference_hub_cap(graph.triples, keys, embedder, 1).old == {second}
+
+
+class ListedGraph(KnowledgeGraph):
+    """Returns each expansion as a list in a given order."""
+
+    def __init__(self, triples, rng):
+        super().__init__(triples)
+        self._rng = rng
+
+    def neighbors(self, entity, hops=1):
+        expansion = sorted(super().neighbors(entity, hops))
+        self._rng.shuffle(expansion)
+        return expansion
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    tails=st.lists(_text, min_size=2, max_size=40, unique=True),
+    keys=_keys,
+    cap=st.integers(1, 39),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hub_cap_independent_of_expansion_order(tails, keys, cap, seed):
+    embedder = HashedEmbedder(8)
+    keys = build_key_set([EntityKey("hub"), *keys.all_keys()])
+    cfg = PipelineConfig(hub_cap=cap, resolve_threshold=1.0)
+    triples = [Triple.from_surface("hub", "links", tail) for tail in tails]
+    results = [
+        gather_candidates(ListedGraph(triples, random.Random(seed + i)), keys, embedder, cfg)
+        for i in range(3)
+    ]
+    assert results[0] == results[1] == results[2]
+
+
+def test_expansion_longer_than_a_block():
+    embedder = HashedEmbedder(64)
+    words = ["ash", "birch", "cedar", "elm", "fir", "oak", "yew", "pine"]
+    tails = [f"{a} {b} {i}" for i, (a, b) in enumerate(itertools.product(words, repeat=2))]
+    tails += [f"{a} {i}" for i, a in enumerate(words * 150)]
+    graph = hub_graph(tails)
+    assert graph.triple_count > 2 * 512
+    keys = build_key_set([EntityKey("hub"), TripleKey("hub", "links", "ash elm"), EntityKey("pine")])
+    cfg = PipelineConfig(hub_cap=700, resolve_threshold=1.0, epsilon=0.3)
+    candidates = gather_candidates(graph, keys, embedder, cfg)
+    ref = reference_hub_cap(graph.triples, keys, embedder, 700)
+    assert not ref.on_edge
+    assert candidates == ref.new
+    result = filter_by_similarity(set(graph.triples), keys, embedder, cfg)
+    expected = reference_filter(graph.triples, keys, embedder, 0.3)
+    assert len(expected) > 512
+    assert [(s.triple, s.best_key, s.score) for s in result.kept] == expected
+
+
+class CountingEmbedder(HashedEmbedder):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def embed(self, text):
+        self.calls += 1
+        return super().embed(text)
+
+    def embed_many(self, texts):
+        self.calls += len(texts)
+        return super().embed_many(texts)
+
+
+def test_hub_cap_rows_served_from_cache():
+    inner = CountingEmbedder()
+    embedder = CachingEmbedder(inner)
+    graph = hub_graph([f"spoke {i}" for i in range(50)])
+    keys = build_key_set([EntityKey("hub"), TripleKey("hub", "links", "spoke 7")])
+    cfg = PipelineConfig(hub_cap=10)
+    first = gather_candidates(graph, keys, embedder, cfg)
+    calls = inner.calls
+    assert calls >= 50
+    assert gather_candidates(graph, keys, embedder, cfg) == first
+    assert inner.calls == calls
