@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional
@@ -67,23 +68,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.report:
         with open(args.report, "w", encoding="utf-8") as f:
             for r in report.per_example:
-                f.write(
-                    json.dumps(
-                        {
-                            "id": r.id,
-                            "question": r.question,
-                            "prediction": r.prediction,
-                            "em": r.em,
-                            "rouge_l": r.rouge_l,
-                            "f1": r.f1,
-                            "category": r.category.value,
-                            "latency": r.latency,
-                            "error": r.error,
-                        },
-                        ensure_ascii=False,
-                        sort_keys=True,
-                    )
-                )
+                record = {**dataclasses.asdict(r), "category": r.category.value}
+                f.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
                 f.write("\n")
     return 0
 

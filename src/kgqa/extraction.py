@@ -15,12 +15,7 @@ from typing import Optional, TypeVar, Union
 
 from .config import PipelineConfig
 from .kg_store import normalize
-from .llm import (
-    EXT_GLOBAL_TEMPLATE,
-    EXT_LOCAL_TEMPLATE,
-    GenerationRequest,
-    LLMBackend,
-)
+from .llm import EXT_GLOBAL_TEMPLATE, EXT_LOCAL_TEMPLATE, LLMBackend, ask
 from .mindmap import MindMap
 
 
@@ -234,12 +229,7 @@ def extract_local_keys(
     cfg: PipelineConfig,
     warnings: Optional[list[str]] = None,
 ) -> list[Key]:
-    prompt = EXT_LOCAL_TEMPLATE.render(mind_map=_serialize_map(m))
-    reply = backend.generate(
-        GenerationRequest(
-            prompt=prompt, temperature=cfg.exploration_temperature, max_tokens=cfg.max_tokens
-        )
-    )
+    reply = ask(backend, EXT_LOCAL_TEMPLATE, cfg, mind_map=_serialize_map(m))
     keys = parse_local_reply(reply)
     if not keys and reply.strip() and warnings is not None:
         warnings.append("local key extraction produced no parseable keys")
@@ -252,12 +242,7 @@ def extract_global_keys(
     cfg: PipelineConfig,
     warnings: Optional[list[str]] = None,
 ) -> list[Key]:
-    prompt = EXT_GLOBAL_TEMPLATE.render(mind_map=_serialize_map(m))
-    reply = backend.generate(
-        GenerationRequest(
-            prompt=prompt, temperature=cfg.exploration_temperature, max_tokens=cfg.max_tokens
-        )
-    )
+    reply = ask(backend, EXT_GLOBAL_TEMPLATE, cfg, mind_map=_serialize_map(m))
     triples = parse_global_reply(reply)
     if not triples:
         if reply.strip() and warnings is not None:

@@ -94,7 +94,7 @@ class KnowledgeGraph:
         unique: dict[tuple[str, str, str], Triple] = {}
         for t in triples:
             unique.setdefault(t.sort_key(), t)
-        self._triples: tuple[Triple, ...] = tuple(sorted(unique.values()))
+        self._triples: tuple[Triple, ...] = tuple(sorted(unique.values(), key=Triple.sort_key))
         self._entities: dict[str, EntityId] = {}
         self._adjacency: dict[str, set[Triple]] = {}
         for t in self._triples:
@@ -125,10 +125,6 @@ class KnowledgeGraph:
     def entities(self) -> tuple[EntityId, ...]:
         """Every entity, sorted by canonical."""
         return self._sorted_entities
-
-    def adjacency(self, entity: "EntityId | str") -> set[Triple]:
-        canonical = entity.canonical if isinstance(entity, EntityId) else normalize(entity)
-        return set(self._adjacency.get(canonical, set()))
 
     def resolve_entity(
         self,

@@ -1,7 +1,9 @@
 """LLM backend port: prompt templates, scripted replay backend, HTTP backend.
 
-Two temperature presets exist. Exploration (decomposition and key
-extraction) runs at 0.4; reasoning, verification, and rethinking run at 0.
+Two temperature presets exist, and each template names its own:
+exploratory templates (decomposition and key extraction) run at
+``exploration_temperature``, the rest (answer, verify, rethink) at
+``reasoning_temperature``. Every role sends its prompt through ``ask``.
 The scripted backend records every request it serves, so tests can assert
 on the exact call sequence and temperatures.
 """
@@ -17,6 +19,8 @@ from typing import Optional, Protocol, runtime_checkable
 
 import requests
 
+from .config import PipelineConfig
+
 DEFAULT_MAX_TOKENS = 1024
 
 ENV_LLM_URL = "COGGRAG_LLM_URL"
@@ -29,12 +33,16 @@ class PromptBindingError(KeyError):
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """A named prompt with fixed head/instruction text and ``${slot}`` holes."""
+    """A named prompt with fixed head/instruction text and ``${slot}`` holes.
+
+    ``exploratory`` templates are sent at the exploration temperature.
+    """
 
     name: str
     head: str
     instruction: str
     body: str
+    exploratory: bool = False
 
     @property
     def slots(self) -> tuple[str, ...]:
@@ -89,6 +97,7 @@ Output: [
 
 DEC_TEMPLATE = PromptTemplate(
     name="dec",
+    exploratory=True,
     head=_DEC_HEAD,
     instruction=_DEC_INSTRUCTION,
     body=(
@@ -114,6 +123,7 @@ _EXT_LOCAL_INSTRUCTION = (
 
 EXT_LOCAL_TEMPLATE = PromptTemplate(
     name="ext_local",
+    exploratory=True,
     head=_EXT_LOCAL_HEAD,
     instruction=_EXT_LOCAL_INSTRUCTION,
     body=f"{_EXT_LOCAL_HEAD}\n\n{_EXT_LOCAL_INSTRUCTION}\n\nInput: ${{mind_map}}\nOutput:",
@@ -131,6 +141,7 @@ Output: [("France", "capital", "Paris"), ("France", "president", "Current Presid
 
 EXT_GLOBAL_TEMPLATE = PromptTemplate(
     name="ext_global",
+    exploratory=True,
     head=_EXT_GLOBAL_HEAD,
     instruction=_EXT_GLOBAL_INSTRUCTION,
     body=(
@@ -237,9 +248,16 @@ class ScriptMissError(BackendError):
 
 @runtime_checkable
 class LLMBackend(Protocol):
-    identity: str
-
     def generate(self, request: GenerationRequest) -> str: ...
+
+
+def ask(backend: LLMBackend, template: PromptTemplate, cfg: PipelineConfig, **bindings: str) -> str:
+    """Render ``template``, send it at its role's temperature with
+    ``cfg.max_tokens``, and return the reply."""
+    temperature = cfg.exploration_temperature if template.exploratory else cfg.reasoning_temperature
+    return backend.generate(
+        GenerationRequest(template.render(**bindings), temperature, cfg.max_tokens)
+    )
 
 
 def infer_template_name(prompt: str) -> str:
@@ -272,9 +290,8 @@ class ScriptedBackend:
     full call sequence.
     """
 
-    def __init__(self, rules: list[ScriptRule], identity: str = "scripted"):
+    def __init__(self, rules: list[ScriptRule]):
         self.rules = list(rules)
-        self.identity = identity
         self.records: list[GenerationRequest] = []
         self._lock = threading.Lock()
 
@@ -339,23 +356,21 @@ class HTTPBackend:
         base_url: str,
         api_key: Optional[str] = None,
         model: str = "default",
-        identity: str = "http",
         max_retries: int = 3,
         timeout: float = 120.0,
     ):
         self.base_url = base_url
         self.api_key = api_key
         self.model = model
-        self.identity = identity
         self.max_retries = max_retries
         self.timeout = timeout
 
     @classmethod
-    def from_env(cls, model: str = "default", identity: str = "http") -> "HTTPBackend":
+    def from_env(cls, model: str = "default") -> "HTTPBackend":
         url = os.environ.get(ENV_LLM_URL)
         if not url:
             raise BackendError(f"{ENV_LLM_URL} is not set; no HTTP backend available")
-        return cls(base_url=url, api_key=os.environ.get(ENV_LLM_KEY), model=model, identity=identity)
+        return cls(base_url=url, api_key=os.environ.get(ENV_LLM_KEY), model=model)
 
     def generate(self, request: GenerationRequest) -> str:
         headers = {"Content-Type": "application/json"}

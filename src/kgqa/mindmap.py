@@ -15,11 +15,7 @@ from typing import Iterator, Optional
 
 from .config import PipelineConfig
 from .kg_store import normalize
-from .llm import (
-    DEC_TEMPLATE,
-    GenerationRequest,
-    LLMBackend,
-)
+from .llm import DEC_TEMPLATE, LLMBackend, ask
 
 
 class NodeState(Enum):
@@ -141,16 +137,8 @@ def decompose_question(
     backend's output stays unparseable after the configured retries."""
     if not question.strip():
         raise ValueError("question must be non-empty")
-    prompt = DEC_TEMPLATE.render(question=question)
     for _ in range(1 + cfg.max_parse_retries):
-        reply = backend.generate(
-            GenerationRequest(
-                prompt=prompt,
-                temperature=cfg.exploration_temperature,
-                max_tokens=cfg.max_tokens,
-            )
-        )
-        parsed = parse_decomposition_reply(reply)
+        parsed = parse_decomposition_reply(ask(backend, DEC_TEMPLATE, cfg, question=question))
         if parsed:
             return parsed
     if warnings is not None:

@@ -17,8 +17,8 @@ from .llm import (
     RETHINK_TEMPLATE,
     VER_TEMPLATE,
     BackendError,
-    GenerationRequest,
     LLMBackend,
+    ask,
     extract_bracketed,
 )
 from .mindmap import MindMap, bottom_up_order
@@ -85,14 +85,14 @@ def serialize_verified(verified: list[VerifiedAnswer]) -> str:
     return "\n".join(lines) if lines else "None"
 
 
-def _generate(backend: LLMBackend, prompt: str, cfg: PipelineConfig) -> str:
-    return backend.generate(
-        GenerationRequest(
-            prompt=prompt,
-            temperature=cfg.reasoning_temperature,
-            max_tokens=cfg.max_tokens,
-        )
-    )
+def _context(
+    evidence: RetrievedTripleSet, verified: list[VerifiedAnswer], cfg: PipelineConfig
+) -> dict[str, str]:
+    """The ``reasoning`` and ``knowledge`` bindings every reasoning prompt shares."""
+    return {
+        "reasoning": serialize_verified(verified),
+        "knowledge": serialize_evidence(evidence, cfg.max_evidence_triples),
+    }
 
 
 def answer_node(
@@ -105,12 +105,7 @@ def answer_node(
 ) -> str:
     """Candidate answer for one node; falls back to the raw completion when
     the reply carries no bracketed span."""
-    prompt = RES_TEMPLATE.render(
-        reasoning=serialize_verified(verified),
-        knowledge=serialize_evidence(evidence, cfg.max_evidence_triples),
-        question=question,
-    )
-    reply = _generate(res, prompt, cfg)
+    reply = ask(res, RES_TEMPLATE, cfg, question=question, **_context(evidence, verified, cfg))
     answer = extract_bracketed(reply)
     if answer is None:
         if warnings is not None:
@@ -130,13 +125,8 @@ def verify_answer(
 ) -> bool:
     """Parse the verifier's bracketed right/wrong verdict; anything else is
     conservatively treated as wrong."""
-    prompt = VER_TEMPLATE.render(
-        reasoning=serialize_verified(verified),
-        knowledge=serialize_evidence(evidence, cfg.max_evidence_triples),
-        answer=answer,
-        question=question,
-    )
-    reply = _generate(ver, prompt, cfg)
+    context = _context(evidence, verified, cfg)
+    reply = ask(ver, VER_TEMPLATE, cfg, answer=answer, question=question, **context)
     verdict = extract_bracketed(reply)
     if verdict is None:
         verdict = reply
@@ -159,12 +149,7 @@ def rethink_node(
     """Regenerate an answer after a failed verdict; accepted without re-verification."""
     if verdict:
         raise ValueError("rethink_node requires a failed verdict")
-    prompt = RETHINK_TEMPLATE.render(
-        reasoning=serialize_verified(verified),
-        knowledge=serialize_evidence(evidence, cfg.max_evidence_triples),
-        question=question,
-    )
-    reply = _generate(res, prompt, cfg)
+    reply = ask(res, RETHINK_TEMPLATE, cfg, question=question, **_context(evidence, verified, cfg))
     answer = extract_bracketed(reply)
     return answer if answer is not None else reply.strip()
 

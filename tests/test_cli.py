@@ -133,6 +133,12 @@ class TestBench:
         assert "1.0000" in out
         records = [json.loads(l) for l in report_path.read_text().splitlines()]
         assert records[0]["category"] == "Correct"
+        for record in records:
+            assert set(record) == {
+                "id", "question", "prediction", "em", "rouge_l", "f1", "category", "latency",
+                "error",
+            }
+            assert isinstance(record["category"], str)
 
     def test_rates_sum_to_one(self, tmp_path, capsys):
         dataset = tmp_path / "two.jsonl"

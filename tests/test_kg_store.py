@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import io
+import random
 import sys
 import threading
 import time
@@ -67,6 +68,22 @@ def test_load_graph_malformed_line_reports_number():
 def test_load_graph_skips_comments_and_blanks():
     g = load_graph(["# comment", "", "a\tb\tc"])
     assert g.triple_count == 1
+
+
+def test_triples_sorted_by_canonical_key():
+    # Surface order differs from canonical order here: "Zeta" < "alpha" < "zeta".
+    lines = [
+        f"{head}\t{rel}\t{tail}"
+        for head in ("Zeta", "alpha", "Mid Node", "beta")
+        for rel in ("REL b", "rel a")
+        for tail in ("omega", "Alpha", "GAMMA")
+    ]
+    random.Random(3).shuffle(lines)
+    g = load_graph(lines)
+    assert g.triple_count == len(lines)
+    assert g.triples == tuple(sorted(g.triples, key=Triple.sort_key))
+    assert g.triples[0].head.canonical == "alpha"
+    assert g.triples[-1].head.canonical == "zeta"
 
 
 def test_load_graph_idempotent(fixture_graph):

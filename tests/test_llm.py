@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+from kgqa.config import PipelineConfig
+from kgqa.extraction import extract_global_keys, extract_local_keys
 from kgqa.llm import (
     DEC_TEMPLATE,
     EXT_GLOBAL_TEMPLATE,
@@ -15,10 +17,14 @@ from kgqa.llm import (
     ScriptMissError,
     ScriptRule,
     ScriptedBackend,
+    ask,
     extract_bracketed,
     infer_template_name,
     parse_script,
 )
+from kgqa.mindmap import decompose_question, single_node_map
+from kgqa.reasoning import answer_node, rethink_node, verify_answer
+from kgqa.retrieval import RetrievedTripleSet
 
 
 def test_res_template_section_order():
@@ -160,3 +166,46 @@ def test_infer_template_name():
     assert infer_template_name(DEC_TEMPLATE.render(question="q")) == "dec"
     assert infer_template_name(EXT_LOCAL_TEMPLATE.render(mind_map="m")) == "ext_local"
     assert infer_template_name("hello") == "unknown"
+
+
+POLICY_CFG = PipelineConfig(exploration_temperature=0.9, reasoning_temperature=0.2, max_tokens=77)
+NO_EVIDENCE = RetrievedTripleSet(kept=(), candidate_count=0, epsilon=0.7)
+
+
+@pytest.mark.parametrize(
+    "template, temperature, stage",
+    [
+        ("dec", 0.9, lambda b: decompose_question("Q?", b, POLICY_CFG)),
+        ("ext_local", 0.9, lambda b: extract_local_keys(single_node_map("Q?"), b, POLICY_CFG)),
+        ("ext_global", 0.9, lambda b: extract_global_keys(single_node_map("Q?"), b, POLICY_CFG)),
+        ("res", 0.2, lambda b: answer_node("Q?", NO_EVIDENCE, [], b, POLICY_CFG)),
+        ("ver", 0.2, lambda b: verify_answer("Q?", "A", NO_EVIDENCE, [], b, POLICY_CFG)),
+        ("rethink", 0.2, lambda b: rethink_node("Q?", NO_EVIDENCE, [], b, POLICY_CFG)),
+    ],
+)
+def test_stage_requests_carry_role_temperature_and_max_tokens(template, temperature, stage):
+    backend = ScriptedBackend([ScriptRule(reply="[right]", regex=".")])
+    stage(backend)
+    assert backend.records
+    for request in backend.records:
+        assert infer_template_name(request.prompt) == template
+        assert request.temperature == temperature
+        assert request.max_tokens == 77
+
+
+def test_exactly_decomposition_and_extraction_explore():
+    explorers = {name for name, t in TEMPLATES.items() if t.exploratory}
+    assert explorers == {"dec", "ext_local", "ext_global"}
+
+
+def test_ask_sends_rendered_prompt_and_returns_reply():
+    backend = ScriptedBackend([ScriptRule(reply="done", regex=".")])
+    assert ask(backend, DEC_TEMPLATE, POLICY_CFG, question="Q?") == "done"
+    assert backend.records == [GenerationRequest(DEC_TEMPLATE.render(question="Q?"), 0.9, 77)]
+
+
+def test_ask_unbound_slot_sends_nothing():
+    backend = ScriptedBackend([ScriptRule(reply="done", regex=".")])
+    with pytest.raises(PromptBindingError, match="knowledge"):
+        ask(backend, RES_TEMPLATE, POLICY_CFG, reasoning="R", question="Q")
+    assert backend.records == []
