@@ -14,10 +14,6 @@ from .llm import BackendError, HTTPBackend, load_script
 from .pipeline import Backends, run_pipeline, write_trace
 
 
-class CLIError(RuntimeError):
-    pass
-
-
 def _build_backends(script_path: Optional[str], cfg: PipelineConfig) -> Backends:
     backend = load_script(script_path) if script_path else HTTPBackend.from_env(model=cfg.model)
     return Backends.single(backend, dimension=cfg.embedding_dim)
@@ -117,7 +113,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CLIError, GraphParseError, BackendError, ValueError, OSError) as exc:
+    except (GraphParseError, BackendError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

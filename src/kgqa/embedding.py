@@ -6,10 +6,12 @@ It is dependency-free and stable across runs and processes, which makes
 retrieval tests reproducible. Production deployments can plug any embedder
 that satisfies the same protocol.
 
-An embedder must offer ``embed(text)``. It may also offer
-``embed_many(texts)``, returning an ``(n, dimension)`` array whose rows equal
-what ``embed`` returns for each text; ``embed_matrix`` uses it when present
-and stacks ``embed`` results otherwise.
+An embedder must offer ``embed(text)``, returning a float64 unit vector, or
+the zero vector for a text with no tokens, so that a cosine similarity is a
+dot product. It may also offer ``embed_many(texts)``, an ``(n, dimension)``
+array of the rows ``embed`` returns; ``embed_matrix`` uses it when present
+and stacks ``embed`` results otherwise. Where a reused matrix is built,
+``check_unit_rows`` raises ValueError for a row of any other norm.
 """
 from __future__ import annotations
 
@@ -28,6 +30,9 @@ DEFAULT_DIMENSION = 256
 # close to the boundary, so the exact result is always among them.
 RESCORE_TOLERANCE = 1e-9
 
+# The farthest from 1 that ``check_unit_rows`` lets a non-zero norm lie.
+UNIT_NORM_TOLERANCE = 1e-6
+
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
 
@@ -39,22 +44,25 @@ class Embedder(Protocol):
 
 
 def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; zero vectors score 0 by definition."""
+    """Cosine similarity of two unit-or-zero vectors: their dot product,
+    clipped to [-1, 1]; a zero vector scores 0."""
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    score = float(np.dot(u, v)) / (nu * nv)
-    return max(-1.0, min(1.0, score))
+    return max(-1.0, min(1.0, float(np.dot(u, v))))
 
 
-def inverse_norms(matrix: np.ndarray) -> np.ndarray:
-    """1 / the L2 norm of each row of ``matrix``; 0 for a zero row."""
+def check_unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """``matrix``, once each row is checked to be a unit or zero vector; a dot
+    product of other rows is no cosine, so it raises ValueError otherwise."""
     # einsum avoids the n x dim temporary that np.linalg.norm(axis=1) makes.
     norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-    return np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    bad = np.flatnonzero(~((norms == 0.0) | (np.abs(norms - 1.0) <= UNIT_NORM_TOLERANCE)))
+    if bad.size:
+        raise ValueError(
+            "embedder contract: vectors must have norm 1 or 0, "
+            f"got norm {norms[bad[0]]!r} in row {bad[0]}"
+        )
+    return matrix
 
 
 def embed_matrix(embedder: Embedder, texts: Sequence[str]) -> np.ndarray:

@@ -143,7 +143,7 @@ class MetricReport:
 
 
 def load_dataset(lines: "Sequence[str]") -> list[QAExample]:
-    """Parse line-delimited {"id", "question", "answers"} records."""
+    """Parse line-delimited {"id", "question", "answers": [...]} records."""
     import json
 
     examples: list[QAExample] = []
@@ -153,11 +153,14 @@ def load_dataset(lines: "Sequence[str]") -> list[QAExample]:
             continue
         try:
             record = json.loads(line)
+            answers = record["answers"]
+            if not isinstance(answers, list):
+                raise ValueError(f"'answers' must be a JSON list, got {answers!r}")
             examples.append(
                 QAExample(
                     id=str(record["id"]),
                     question=str(record["question"]),
-                    gold_answers=tuple(str(a) for a in record["answers"]),
+                    gold_answers=tuple(str(a) for a in answers),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:

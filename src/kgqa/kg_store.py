@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .embedding import RESCORE_TOLERANCE, Embedder, cosine_sim, embed_matrix, inverse_norms
+from .embedding import RESCORE_TOLERANCE, Embedder, check_unit_rows, cosine_sim, embed_matrix
 
 
 def normalize(text: str) -> str:
@@ -102,10 +102,9 @@ class KnowledgeGraph:
                 self._entities.setdefault(end.canonical, end)
                 self._adjacency.setdefault(end.canonical, set()).add(t)
         self._sorted_entities = tuple(self._entities[c] for c in sorted(self._entities))
-        # Per embedder: its vectors of the sorted entities, one row each, and
-        # the reciprocal row norms (0 for a zero row). Built on the first fuzzy
-        # resolve and dropped with the embedder.
-        self._indexes: weakref.WeakKeyDictionary[Embedder, tuple[np.ndarray, np.ndarray]]
+        # Per embedder: its vectors of the sorted entities, one row each. Built
+        # on the first fuzzy resolve and dropped with the embedder.
+        self._indexes: weakref.WeakKeyDictionary[Embedder, np.ndarray]
         self._indexes = weakref.WeakKeyDictionary()
         self._index_lock = threading.Lock()
 
@@ -146,12 +145,9 @@ class KnowledgeGraph:
             return self._entities[canonical]
         if embedder is None or not self._entities:
             return None
-        matrix, inv_norms = self._entity_index(embedder)
+        matrix = self._entity_index(embedder)
         mention_vec = embedder.embed(canonical)
-        mention_norm = float(np.linalg.norm(mention_vec))
         scores = matrix @ mention_vec
-        scores *= inv_norms
-        scores *= (1.0 / mention_norm) if mention_norm > 0.0 else 0.0
         np.clip(scores, -1.0, 1.0, out=scores)
         floor = max(float(scores.max()), threshold) - RESCORE_TOLERANCE
         best: Optional[EntityId] = None
@@ -163,13 +159,13 @@ class KnowledgeGraph:
                 best_score = score
         return best
 
-    def _entity_index(self, embedder: Embedder) -> tuple[np.ndarray, np.ndarray]:
+    def _entity_index(self, embedder: Embedder) -> np.ndarray:
         with self._index_lock:
-            index = self._indexes.get(embedder)
-            if index is None:
+            matrix = self._indexes.get(embedder)
+            if matrix is None:
                 matrix = embed_matrix(embedder, [e.canonical for e in self._sorted_entities])
-                index = self._indexes[embedder] = (matrix, inverse_norms(matrix))
-        return index
+                matrix = self._indexes[embedder] = check_unit_rows(matrix)
+        return matrix
 
     def neighbors(self, entity: "EntityId | str", hops: int = 1) -> set[Triple]:
         """All triples reachable by breadth-first expansion within ``hops`` edges."""

@@ -21,8 +21,6 @@ import requests
 
 from .config import PipelineConfig
 
-DEFAULT_MAX_TOKENS = 1024
-
 ENV_LLM_URL = "COGGRAG_LLM_URL"
 ENV_LLM_KEY = "COGGRAG_LLM_KEY"
 
@@ -229,7 +227,7 @@ TEMPLATES: dict[str, PromptTemplate] = {
 class GenerationRequest:
     prompt: str
     temperature: float
-    max_tokens: int = DEFAULT_MAX_TOKENS
+    max_tokens: int
 
     def __post_init__(self) -> None:
         if self.temperature < 0:

@@ -71,7 +71,7 @@ class ReasoningAborted(RuntimeError):
         self.partial_trace = partial_trace
 
 
-def serialize_evidence(evidence: RetrievedTripleSet, cap: int = 64) -> str:
+def serialize_evidence(evidence: RetrievedTripleSet, cap: int) -> str:
     """Kept triples as "(head, relation, tail)" lines, truncated at ``cap``."""
     lines = [
         f"({s.triple.head.surface}, {s.triple.relation}, {s.triple.tail.surface})"

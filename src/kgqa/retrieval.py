@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .embedding import RESCORE_TOLERANCE, Embedder, cosine_sim, inverse_norms
+from .embedding import RESCORE_TOLERANCE, Embedder, check_unit_rows, cosine_sim
 from .extraction import Key, KeySet
 from .kg_store import KnowledgeGraph, Triple
 
@@ -48,55 +48,44 @@ class RetrievedTripleSet:
         return [s.triple for s in self.kept]
 
 
-def _embed_keys(keys: KeySet, embedder: Embedder) -> list[tuple[Key, np.ndarray]]:
-    return [(key, embedder.embed(text)) for key, text in keys.scoring_pairs()]
+def _embed_keys(keys: KeySet, embedder: Embedder) -> tuple[list[Key], np.ndarray]:
+    """The scoring keys and the checked matrix of their vectors, one row each."""
+    pairs = keys.scoring_pairs()
+    vectors = [embedder.embed(text) for _, text in pairs]
+    key_matrix = np.array(vectors, dtype=np.float64).reshape(len(pairs), embedder.dimension)
+    return [key for key, _ in pairs], check_unit_rows(key_matrix)
 
 
 def _best_key(
-    triple: Triple, embedder: Embedder, key_vectors: list[tuple[Key, np.ndarray]]
-) -> tuple[Key | None, float]:
+    triple: Triple, embedder: Embedder, scoring_keys: list[Key], key_matrix: np.ndarray
+) -> tuple[Key, float]:
     """The key scoring highest against ``triple`` and its score; the first one wins a tie."""
     vec = embedder.embed(serialize_triple(triple))
-    best_key: Key | None = None
-    best = float("-inf")
-    for key, key_vec in key_vectors:
-        score = cosine_sim(vec, key_vec)
-        if score > best:
-            best = score
-            best_key = key
-    return best_key, best
+    scores = [cosine_sim(vec, key_vec) for key_vec in key_matrix]
+    best = max(range(len(scores)), key=scores.__getitem__)
+    return scoring_keys[best], scores[best]
 
 
-def _max_scores(
-    triples: list[Triple], embedder: Embedder, key_vectors: list[tuple[Key, np.ndarray]]
-) -> np.ndarray:
+def _max_scores(triples: list[Triple], embedder: Embedder, key_matrix: np.ndarray) -> np.ndarray:
     """Each triple's best cosine similarity over the keys, by blocked matrix products.
 
     A score agrees with ``_best_key``'s to within a few ulps, not bitwise:
     its sums run in another order. Rows go through ``embed``, so a caching
     embedder serves them from its cache.
     """
-    key_matrix = np.stack([vec for _, vec in key_vectors])
-    key_inv_norms = inverse_norms(key_matrix)
     scores = np.empty(len(triples))
     block = np.empty((min(len(triples), _BLOCK_ROWS), embedder.dimension))
     for start in range(0, len(triples), _BLOCK_ROWS):
         rows = block[: min(_BLOCK_ROWS, len(triples) - start)]
         for row, triple in zip(rows, triples[start : start + len(rows)]):
             row[:] = embedder.embed(serialize_triple(triple))
-        sims = rows @ key_matrix.T
-        sims *= inverse_norms(rows)[:, None]
-        sims *= key_inv_norms
-        np.clip(sims, -1.0, 1.0, out=sims)
-        sims.max(axis=1, out=scores[start : start + len(rows)])
+        best = (rows @ key_matrix.T).max(axis=1)
+        np.clip(best, -1.0, 1.0, out=scores[start : start + len(rows)])
     return scores
 
 
 def _hub_cap(
-    expansion: set[Triple],
-    embedder: Embedder,
-    key_vectors: list[tuple[Key, np.ndarray]],
-    cap: int,
+    expansion: set[Triple], embedder: Embedder, key_matrix: np.ndarray, cap: int
 ) -> list[Triple]:
     """The ``cap`` triples of ``expansion`` that score highest against the keys.
 
@@ -108,10 +97,10 @@ def _hub_cap(
     within the tolerance of ``cut`` can be chosen differently than by exact
     ``_best_key`` scores. With no keys the lexicographically first triples win.
     """
-    if not key_vectors:
+    if len(key_matrix) == 0:
         return sorted(expansion, key=Triple.sort_key)[:cap]
     rows = list(expansion)
-    scores = _max_scores(rows, embedder, key_vectors)
+    scores = _max_scores(rows, embedder, key_matrix)
     cut = np.partition(scores, len(rows) - cap)[len(rows) - cap]
     above = np.flatnonzero(scores > cut + RESCORE_TOLERANCE)
     near = np.flatnonzero(np.abs(scores - cut) <= RESCORE_TOLERANCE)
@@ -130,7 +119,7 @@ def gather_candidates(
     Per-entity expansion is truncated at the hub cap, preferring the
     highest-scoring triples against the key set (see ``_hub_cap``).
     """
-    key_vectors = _embed_keys(keys, embedder)
+    _, key_matrix = _embed_keys(keys, embedder)
     candidates: set[Triple] = set()
     for mention in keys.mentions():
         entity = g.resolve_entity(mention, embedder, cfg.resolve_threshold)
@@ -138,7 +127,7 @@ def gather_candidates(
             continue
         expansion = g.neighbors(entity, cfg.hops)
         if len(expansion) > cfg.hub_cap:
-            candidates.update(_hub_cap(expansion, embedder, key_vectors, cfg.hub_cap))
+            candidates.update(_hub_cap(expansion, embedder, key_matrix, cfg.hub_cap))
         else:
             candidates.update(expansion)
     return candidates
@@ -155,13 +144,13 @@ def filter_by_similarity(
     Only candidates whose vectorised score lies above epsilon less
     ``RESCORE_TOLERANCE`` are scored exactly by ``_best_key``.
     """
-    key_vectors = _embed_keys(keys, embedder)
+    scoring_keys, key_matrix = _embed_keys(keys, embedder)
     kept: list[ScoredTriple] = []
-    if key_vectors:
+    if scoring_keys:
         rows = list(candidates)
-        scores = _max_scores(rows, embedder, key_vectors)
+        scores = _max_scores(rows, embedder, key_matrix)
         for i in np.flatnonzero(scores > cfg.epsilon - RESCORE_TOLERANCE):
-            best_key, best = _best_key(rows[i], embedder, key_vectors)
+            best_key, best = _best_key(rows[i], embedder, scoring_keys, key_matrix)
             if best > cfg.epsilon:
                 kept.append(ScoredTriple(triple=rows[i], best_key=best_key, score=best))
     kept.sort(key=lambda s: (-s.score, s.triple.sort_key()))

@@ -36,7 +36,7 @@ def golden_backend() -> ScriptedBackend:
 
 
 class ScaledEmbedder:
-    """Hashed vectors scaled by text length: non-unit, and no ``embed_many``."""
+    """Hashed vectors scaled by text length: breaks the unit-vector contract."""
 
     def __init__(self, dimension):
         self.dimension = dimension
@@ -46,10 +46,22 @@ class ScaledEmbedder:
         return (1.0 + len(text)) * self._unit.embed(text)
 
 
+class SignedEmbedder:
+    """Hashed vectors, negated for odd-length texts: unit vectors that can
+    score below zero, and no ``embed_many``."""
+
+    def __init__(self, dimension):
+        self.dimension = dimension
+        self._unit = HashedEmbedder(dimension)
+
+    def embed(self, text):
+        return (-1.0) ** len(text) * self._unit.embed(text)
+
+
 def make_embedder(kind, dimension):
-    """A hashed, a caching or a scaled embedder of ``dimension``."""
+    """A hashed, a caching or a signed embedder of ``dimension``."""
     if kind == "hashed":
         return HashedEmbedder(dimension)
     if kind == "caching":
         return CachingEmbedder(HashedEmbedder(dimension))
-    return ScaledEmbedder(dimension)
+    return SignedEmbedder(dimension)

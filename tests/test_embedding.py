@@ -2,12 +2,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgqa.embedding import CachingEmbedder, HashedEmbedder, cosine_sim, embed_matrix
+from kgqa.embedding import (
+    UNIT_NORM_TOLERANCE,
+    CachingEmbedder,
+    HashedEmbedder,
+    check_unit_rows,
+    cosine_sim,
+    embed_matrix,
+)
 
 
 def test_cosine_self_similarity():
-    v = np.array([1.0, 2.0, 3.0])
+    v = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
     assert cosine_sim(v, v) == pytest.approx(1.0)
 
 
@@ -16,14 +25,22 @@ def test_cosine_orthogonal():
 
 
 def test_cosine_closed_form():
-    # dot=1, norms sqrt(2) and 1 -> 1/sqrt(2)
-    u = np.array([1.0, 1.0])
+    # [1, 1] / sqrt(2) . [1, 0] = 1 / sqrt(2)
+    u = np.array([1.0, 1.0]) / np.sqrt(2.0)
     v = np.array([1.0, 0.0])
     assert cosine_sim(u, v) == pytest.approx(0.7071067811865475, abs=1e-9)
 
 
 def test_cosine_zero_vector_scores_zero():
     assert cosine_sim(np.zeros(4), np.ones(4)) == 0.0
+
+
+def test_cosine_clipped_to_unit_interval():
+    v = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    w = np.nextafter(v, 2.0)
+    assert float(np.dot(w, w)) > 1.0
+    assert cosine_sim(w, w) == 1.0
+    assert cosine_sim(w, -w) == -1.0
 
 
 def test_cosine_dimension_mismatch_raises():
@@ -86,3 +103,32 @@ def test_caching_embed_many_bypasses_cache():
     matrix = cached.embed_many(["alpha", "beta", "gamma"])
     assert np.array_equal(matrix, inner.embed_many(["alpha", "beta", "gamma"]))
     assert len(cached._cache) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(st.text(), min_size=1, max_size=5), dimension=st.integers(1, 64))
+def test_embedders_return_unit_or_zero_vectors(texts, dimension):
+    hashed = HashedEmbedder(dimension)
+    cached = CachingEmbedder(HashedEmbedder(dimension))
+    vectors = [hashed.embed(t) for t in texts] + [cached.embed(t) for t in texts]
+    vectors += list(hashed.embed_many(texts))
+    for vec in vectors:
+        assert vec.dtype == np.float64 and vec.shape == (dimension,)
+        norm = np.linalg.norm(vec)
+        assert norm == 0.0 or abs(norm - 1.0) <= 1e-12
+
+
+def test_check_unit_rows_accepts_unit_and_zero_rows():
+    e = HashedEmbedder(16)
+    matrix = e.embed_many(["alpha beta", "", "!!!", "gamma"])
+    matrix[3] *= 1.0 + 0.9 * UNIT_NORM_TOLERANCE
+    assert check_unit_rows(matrix) is matrix
+    assert check_unit_rows(np.empty((0, 16))).shape == (0, 16)
+
+
+@pytest.mark.parametrize("scale", [1.0 + 2 * UNIT_NORM_TOLERANCE, 0.5, 3.0, np.nan])
+def test_check_unit_rows_rejects_other_norms(scale):
+    matrix = HashedEmbedder(16).embed_many(["alpha", "beta gamma", "delta"])
+    matrix[1] *= scale
+    with pytest.raises(ValueError, match=r"embedder contract: .* in row 1"):
+        check_unit_rows(matrix)

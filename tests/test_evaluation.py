@@ -200,3 +200,10 @@ class TestLoadDataset:
     def test_empty_answers_rejected(self):
         with pytest.raises(ValueError):
             load_dataset(['{"id": "1", "question": "q?", "answers": []}'])
+
+    @pytest.mark.parametrize("answers", ['"Paris"', '{"a": 1}'])
+    def test_answers_must_be_a_list(self, answers):
+        lines = ['{"id": "0", "question": "q?", "answers": ["a"]}']
+        lines.append(f'{{"id": "1", "question": "q?", "answers": {answers}}}')
+        with pytest.raises(ValueError, match=r"dataset line 2: 'answers' must be a JSON list"):
+            load_dataset(lines)

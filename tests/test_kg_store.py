@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_embedder
+from conftest import ScaledEmbedder, make_embedder
 from kgqa.embedding import CachingEmbedder, HashedEmbedder, cosine_sim
 from kgqa.kg_store import (
     EntityId,
@@ -199,13 +199,13 @@ _words = st.lists(st.sampled_from(["ash", "birch", "cedar", "elm", "fir"]), min_
 @given(
     names=st.lists(_words, min_size=1, max_size=8),
     mention=st.one_of(_words.map(" ".join), st.just("!!!")),
-    kind=st.sampled_from(["hashed", "caching", "scaled"]),
+    kind=st.sampled_from(["hashed", "caching", "signed"]),
     dimension=st.sampled_from([4, 8, 64]),
     # A float is the threshold; an int picks an attained score as the threshold.
     threshold=st.one_of(st.floats(-0.2, 1.0), st.integers(0, 20)),
 )
 @example(names=[["ash"], ["elm", "fir"]], mention="!!!", kind="hashed", dimension=8, threshold=0.7)
-@example(names=[["ash"], ["elm", "fir"]], mention="!!!", kind="scaled", dimension=8, threshold=-0.1)
+@example(names=[["ash"], ["elm", "fir"]], mention="!!!", kind="signed", dimension=8, threshold=-0.1)
 def test_resolve_entity_matches_reference_scan(names, mention, kind, dimension, threshold):
     embedder = make_embedder(kind, dimension)
     # Each name also appears as a permutation of its tokens: an exact tie.
@@ -225,6 +225,13 @@ def test_resolve_entity_score_equal_to_threshold_rejected():
     score = cosine_sim(embedder.embed("alpha"), embedder.embed("alpha beta"))
     assert g.resolve_entity("alpha", embedder, score) is None
     assert g.resolve_entity("alpha", embedder, np.nextafter(score, 0.0)).canonical == "alpha beta"
+
+
+def test_fuzzy_resolve_rejects_non_unit_embedder(fixture_graph):
+    embedder = ScaledEmbedder(64)
+    assert fixture_graph.resolve_entity("david beckham", embedder, 0.5).canonical == "david beckham"
+    with pytest.raises(ValueError, match="embedder contract"):
+        fixture_graph.resolve_entity("Alex Ferguson OBE", embedder, 0.5)
 
 
 def test_entities_sorted_once(fixture_graph):

@@ -80,7 +80,7 @@ def test_no_residual_placeholders():
 
 def test_generation_request_validation():
     with pytest.raises(ValueError):
-        GenerationRequest(prompt="p", temperature=-0.1)
+        GenerationRequest(prompt="p", temperature=-0.1, max_tokens=1024)
     with pytest.raises(ValueError):
         GenerationRequest(prompt="p", temperature=0.0, max_tokens=0)
 
@@ -92,20 +92,20 @@ def test_scripted_lookup_first_match_wins():
             ScriptRule(patterns=("decompose",), reply="second"),
         ]
     )
-    assert backend.generate(GenerationRequest("please decompose this", 0.4)) == "first"
+    assert backend.generate(GenerationRequest("please decompose this", 0.4, 1024)) == "first"
 
 
 def test_scripted_miss_names_template():
     backend = ScriptedBackend([ScriptRule(patterns=("nope",), reply="x")])
     prompt = RES_TEMPLATE.render(reasoning="r", knowledge="k", question="q")
     with pytest.raises(ScriptMissError, match="res"):
-        backend.generate(GenerationRequest(prompt, 0.0))
+        backend.generate(GenerationRequest(prompt, 0.0, 1024))
 
 
 def test_scripted_records_requests():
     backend = ScriptedBackend([ScriptRule(patterns=("x",), reply="y")])
-    backend.generate(GenerationRequest("x 1", 0.4))
-    backend.generate(GenerationRequest("x 2", 0.0))
+    backend.generate(GenerationRequest("x 1", 0.4, 1024))
+    backend.generate(GenerationRequest("x 2", 0.0, 1024))
     assert [r.temperature for r in backend.records] == [0.4, 0.0]
     assert [r.prompt for r in backend.records] == ["x 1", "x 2"]
 

@@ -15,7 +15,7 @@ from kgqa.pipeline import (
     write_trace,
 )
 
-from conftest import BECKHAM_QUESTION, SUB_Q1, SUB_Q2, golden_rules
+from conftest import BECKHAM_QUESTION, SUB_Q1, SUB_Q2, ScaledEmbedder, golden_rules
 
 
 # One out-of-range value per bounded field; NaN must not slip past a bound.
@@ -188,6 +188,13 @@ class TestRunPipeline:
         with pytest.raises(PipelineStageError) as exc:
             run_pipeline(BECKHAM_QUESTION, fixture_graph, PipelineConfig(), backends)
         assert exc.value.stage == "extraction"
+
+    def test_stage_error_labels_retrieval_for_non_unit_embedder(self, fixture_graph):
+        backend = ScriptedBackend(golden_rules())
+        backends = Backends(res=backend, ver=backend, embedder=ScaledEmbedder(256))
+        with pytest.raises(PipelineStageError, match="embedder contract") as exc:
+            run_pipeline(BECKHAM_QUESTION, fixture_graph, PipelineConfig(), backends)
+        assert exc.value.stage == "retrieval"
 
 
 class TestWriteTrace:

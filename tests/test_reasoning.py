@@ -130,8 +130,10 @@ class TestRethinkNode:
 class TestSerializers:
     def test_evidence_lines_and_cap(self):
         ev = beckham_evidence()
-        assert serialize_evidence(ev) == "(David Beckham, recruited_by, Alex Ferguson)"
-        assert serialize_evidence(no_evidence()) == "None"
+        cap = CFG.max_evidence_triples
+        assert serialize_evidence(ev, cap) == "(David Beckham, recruited_by, Alex Ferguson)"
+        assert serialize_evidence(ev, 0) == "None"
+        assert serialize_evidence(no_evidence(), cap) == "None"
 
     def test_verified_lines(self):
         vs = [VerifiedAnswer("q1?", "a1", "0.0"), VerifiedAnswer("q2?", "a2", "0.1")]

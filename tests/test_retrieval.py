@@ -5,11 +5,12 @@ import math
 import random
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_embedder
+from conftest import ScaledEmbedder, make_embedder
 from kgqa.config import PipelineConfig
 from kgqa.embedding import RESCORE_TOLERANCE, CachingEmbedder, HashedEmbedder, cosine_sim
 from kgqa.extraction import EntityKey, KeySet, PairKey, SubgraphKey, TripleKey, build_key_set
@@ -256,7 +257,7 @@ _keys = st.lists(
     ),
     max_size=5,
 ).map(build_key_set)
-_kinds = st.sampled_from(["hashed", "caching", "scaled"])
+_kinds = st.sampled_from(["hashed", "caching", "signed"])
 _dimensions = st.sampled_from([4, 8, 64])
 
 
@@ -318,13 +319,40 @@ def test_hub_cap_matches_reference_ranking(tails, keys, kind, dimension, cap):
         assert candidates == ref.old | rest
 
 
+def test_non_unit_embedder_rejected(fixture_graph):
+    embedder = ScaledEmbedder(64)
+    keys = build_key_set([EntityKey("David Beckham")])
+    with pytest.raises(ValueError, match="embedder contract"):
+        gather_candidates(fixture_graph, keys, embedder, PipelineConfig())
+    with pytest.raises(ValueError, match="embedder contract"):
+        filter_by_similarity(set(fixture_graph.triples), keys, embedder, PipelineConfig())
+
+
+class TableEmbedder:
+    """Given unit vectors for given texts; the zero vector for any other text."""
+
+    def __init__(self, table):
+        self.dimension = 2
+        self._table = {text: np.array(vec) for text, vec in table.items()}
+
+    def embed(self, text):
+        return self._table.get(text, np.zeros(self.dimension))
+
+
 def test_hub_cap_near_ties_break_by_sort_key():
-    embedder = HashedEmbedder()
     graph = hub_graph(["birch elm yew", "elm birch fir", "elm elm"])
-    keys = build_key_set([EntityKey("hub"), EntityKey("birch birch")])
     first, second, _ = sorted(graph.triples)
-    # Both score 1/sqrt(5) against both keys, but the sums differ in the last ulp.
-    low, high = (reference_best_key(t, embedder, keys)[1] for t in (first, second))
+    # The two spokes score 1/sqrt(5) and the next double up against the key.
+    low = 1.0 / math.sqrt(5.0)
+    high = float(np.nextafter(low, 1.0))
+    embedder = TableEmbedder({
+        "hub": [1.0, 0.0],
+        serialize_triple(first): [low, math.sqrt(1.0 - low * low)],
+        serialize_triple(second): [high, math.sqrt(1.0 - high * high)],
+    })
+    keys = build_key_set([EntityKey("hub")])
+    scores = [reference_best_key(t, embedder, keys)[1] for t in (first, second)]
+    assert scores == [low, high]
     assert low < high <= low + RESCORE_TOLERANCE
     candidates = gather_candidates(graph, keys, embedder, PipelineConfig(hub_cap=1))
     assert candidates == {first}
