@@ -32,11 +32,17 @@ def _sequence_tokens(answer: str) -> list[str]:
     return _PUNCT_RE.sub("", answer.lower()).split()
 
 
-def exact_match(pred: str, golds: Sequence[str]) -> int:
+def _gold_list(golds: "str | Sequence[str]") -> Sequence[str]:
+    """One gold string as a one-item list, so it is never scored per character."""
+    golds = [golds] if isinstance(golds, str) else golds
     if not golds:
         raise ValueError("golds must be non-empty")
+    return golds
+
+
+def exact_match(pred: str, golds: "str | Sequence[str]") -> int:
     pred_tokens = normalize_answer(pred)
-    return int(any(pred_tokens == normalize_answer(g) for g in golds))
+    return int(any(pred_tokens == normalize_answer(g) for g in _gold_list(golds)))
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
@@ -53,11 +59,9 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
 
 def rouge_l(pred: str, golds: "str | Sequence[str]") -> float:
     """LCS-based F-measure between prediction and gold; max over golds."""
-    if isinstance(golds, str):
-        golds = [golds]
     pred_tokens = _sequence_tokens(pred)
     best = 0.0
-    for gold in golds:
+    for gold in _gold_list(golds):
         gold_tokens = _sequence_tokens(gold)
         lcs = _lcs_length(pred_tokens, gold_tokens)
         if lcs == 0:
@@ -68,13 +72,11 @@ def rouge_l(pred: str, golds: "str | Sequence[str]") -> float:
     return best
 
 
-def f1(pred: str, golds: Sequence[str]) -> float:
+def f1(pred: str, golds: "str | Sequence[str]") -> float:
     """Token-multiset overlap F1 against each gold, max over golds."""
-    if not golds:
-        raise ValueError("golds must be non-empty")
     pred_counts = Counter(normalize_answer(pred))
     best = 0.0
-    for gold in golds:
+    for gold in _gold_list(golds):
         gold_counts = Counter(normalize_answer(gold))
         if not pred_counts or not gold_counts:
             # Both normalizing to nothing counts as a match (SQuAD convention).
@@ -95,10 +97,9 @@ class Category(Enum):
     HALLUCINATION = "Hallucination"
 
 
-def categorize(pred: str, golds: Sequence[str]) -> Category:
+def categorize(pred: str, golds: "str | Sequence[str]") -> Category:
     """Missing on abstention, Correct on exact match, otherwise Hallucination."""
-    if not golds:
-        raise ValueError("golds must be non-empty")
+    golds = _gold_list(golds)
     if detect_abstention(pred):
         return Category.MISSING
     if exact_match(pred, golds):

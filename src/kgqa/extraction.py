@@ -22,14 +22,12 @@ from .mindmap import MindMap
 @dataclass(frozen=True)
 class EntityKey:
     mention: str
-    origin: tuple[str, ...] = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
 class PairKey:
     mention: str
     relation: str
-    origin: tuple[str, ...] = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
@@ -37,13 +35,11 @@ class TripleKey:
     head: str
     relation: str
     tail: str
-    origin: tuple[str, ...] = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
 class SubgraphKey:
     triples: tuple[TripleKey, ...]
-    origin: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         if len(self.triples) < 2:
@@ -68,9 +64,7 @@ def serialize_key(key: Key) -> str:
 
 def entity_mentions(key: Key) -> list[str]:
     """Entity mentions a key contributes to neighborhood expansion."""
-    if isinstance(key, EntityKey):
-        return [key.mention]
-    if isinstance(key, PairKey):
+    if isinstance(key, (EntityKey, PairKey)):
         return [key.mention]
     if isinstance(key, TripleKey):
         return [key.head, key.tail]

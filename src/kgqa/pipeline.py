@@ -92,7 +92,7 @@ def run_pipeline(
         raise PipelineStageError("retrieval", exc) from exc
 
     try:
-        trace = solve(mind_map, evidence, backends.res, backends.ver, cfg)
+        trace = solve(mind_map, evidence, backends.res, backends.ver, cfg, warnings)
     except ReasoningAborted as exc:
         raise PipelineStageError("reasoning", exc, partial_trace=exc.partial_trace) from exc
     except Exception as exc:
@@ -127,10 +127,9 @@ def write_trace(out: TextIO, result: PipelineResult, cfg: PipelineConfig, graph:
     )
     for node in result.mind_map.to_records():
         emit({"type": "mindmap_node", **node})
-    for key in result.keys.local_keys:
-        emit({"type": "key", "level": "local", "kind": type(key).__name__, "text": serialize_key(key)})
-    for key in result.keys.global_keys:
-        emit({"type": "key", "level": "global", "kind": type(key).__name__, "text": serialize_key(key)})
+    for level, keys in (("local", result.keys.local_keys), ("global", result.keys.global_keys)):
+        for key in keys:
+            emit({"type": "key", "level": level, "kind": type(key).__name__, "text": serialize_key(key)})
     for scored in result.evidence.kept:
         emit(
             {
@@ -154,7 +153,7 @@ def write_trace(out: TextIO, result: PipelineResult, cfg: PipelineConfig, graph:
                 "final": record.final,
             }
         )
-    for message in [*result.warnings, *result.trace.warnings]:
+    for message in result.warnings:
         emit({"type": "warning", "message": message})
     emit(
         {

@@ -38,15 +38,9 @@ class Outcome(Enum):
 
 
 @dataclass
-class VerifiedAnswer:
-    question: str
-    answer: str
-    node: str
-
-
-@dataclass
 class NodeRecord:
     node: str
+    question: str
     candidate: str
     verdict: bool
     rethink: Optional[str]
@@ -60,7 +54,6 @@ class ReasoningTrace:
     final_answer: str = ""
     verify_calls: int = 0
     rethink_calls: int = 0
-    warnings: list[str] = field(default_factory=list)
 
 
 class ReasoningAborted(RuntimeError):
@@ -80,52 +73,39 @@ def serialize_evidence(evidence: RetrievedTripleSet, cap: int) -> str:
     return "\n".join(lines) if lines else "None"
 
 
-def serialize_verified(verified: list[VerifiedAnswer]) -> str:
-    lines = [f"Q: {v.question}\nA: {v.answer}" for v in verified]
+def serialize_verified(records: list[NodeRecord]) -> str:
+    """Each answered node as "Q: question" and "A: final answer" lines."""
+    lines = [f"Q: {r.question}\nA: {r.final}" for r in records]
     return "\n".join(lines) if lines else "None"
 
 
-def _context(
-    evidence: RetrievedTripleSet, verified: list[VerifiedAnswer], cfg: PipelineConfig
-) -> dict[str, str]:
-    """The ``reasoning`` and ``knowledge`` bindings every reasoning prompt shares."""
-    return {
-        "reasoning": serialize_verified(verified),
-        "knowledge": serialize_evidence(evidence, cfg.max_evidence_triples),
-    }
+def _bracketed(role: str, question: str, reply: str, warnings: list[str]) -> str:
+    """The reply's first bracketed span; otherwise the raw reply, with a warning."""
+    answer = extract_bracketed(reply)
+    if answer is None:
+        warnings.append(f"{role} without brackets for question: {question!r}")
+        return reply.strip()
+    return answer
 
 
 def answer_node(
-    question: str,
-    evidence: RetrievedTripleSet,
-    verified: list[VerifiedAnswer],
-    res: LLMBackend,
-    cfg: PipelineConfig,
-    warnings: Optional[list[str]] = None,
+    question: str, context: dict[str, str], res: LLMBackend, cfg: PipelineConfig, warnings: list[str]
 ) -> str:
-    """Candidate answer for one node; falls back to the raw completion when
-    the reply carries no bracketed span."""
-    reply = ask(res, RES_TEMPLATE, cfg, question=question, **_context(evidence, verified, cfg))
-    answer = extract_bracketed(reply)
-    if answer is None:
-        if warnings is not None:
-            warnings.append(f"answer without brackets for question: {question!r}")
-        return reply.strip()
-    return answer
+    """Candidate answer for one node, given its ``reasoning``/``knowledge`` context."""
+    reply = ask(res, RES_TEMPLATE, cfg, question=question, **context)
+    return _bracketed("answer", question, reply, warnings)
 
 
 def verify_answer(
     question: str,
     answer: str,
-    evidence: RetrievedTripleSet,
-    verified: list[VerifiedAnswer],
+    context: dict[str, str],
     ver: LLMBackend,
     cfg: PipelineConfig,
-    warnings: Optional[list[str]] = None,
+    warnings: list[str],
 ) -> bool:
     """Parse the verifier's bracketed right/wrong verdict; anything else is
     conservatively treated as wrong."""
-    context = _context(evidence, verified, cfg)
     reply = ask(ver, VER_TEMPLATE, cfg, answer=answer, question=question, **context)
     verdict = extract_bracketed(reply)
     if verdict is None:
@@ -133,25 +113,17 @@ def verify_answer(
     cleaned = verdict.strip().strip(".!\"'").lower()
     if cleaned == "right":
         return True
-    if cleaned != "wrong" and warnings is not None:
+    if cleaned != "wrong":
         warnings.append(f"unrecognized verdict {verdict!r}; treated as wrong")
     return False
 
 
 def rethink_node(
-    question: str,
-    evidence: RetrievedTripleSet,
-    verified: list[VerifiedAnswer],
-    res: LLMBackend,
-    cfg: PipelineConfig,
-    verdict: bool = False,
+    question: str, context: dict[str, str], res: LLMBackend, cfg: PipelineConfig, warnings: list[str]
 ) -> str:
     """Regenerate an answer after a failed verdict; accepted without re-verification."""
-    if verdict:
-        raise ValueError("rethink_node requires a failed verdict")
-    reply = ask(res, RETHINK_TEMPLATE, cfg, question=question, **_context(evidence, verified, cfg))
-    answer = extract_bracketed(reply)
-    return answer if answer is not None else reply.strip()
+    reply = ask(res, RETHINK_TEMPLATE, cfg, question=question, **context)
+    return _bracketed("rethink", question, reply, warnings)
 
 
 def solve(
@@ -160,34 +132,35 @@ def solve(
     res: LLMBackend,
     ver: LLMBackend,
     cfg: PipelineConfig,
+    warnings: list[str],
 ) -> ReasoningTrace:
     """Run the full bottom-up answer/verify/rethink loop over the map.
 
-    With verification disabled the verdict is forced true and rethink never
-    fires. Backend errors raise ReasoningAborted with the partial trace.
+    A node's three roles share one context: the knowledge, rendered once per
+    question, and the answers so far. Without verification the verdict is
+    forced true. Backend errors raise ReasoningAborted with the partial trace.
     """
     trace = ReasoningTrace()
-    verified: list[VerifiedAnswer] = []
+    knowledge = serialize_evidence(evidence, cfg.max_evidence_triples)
     try:
         for node_id in bottom_up_order(m):
             question = m.node(node_id).question
-            candidate = answer_node(question, evidence, verified, res, cfg, trace.warnings)
+            context = {"reasoning": serialize_verified(trace.records), "knowledge": knowledge}
+            candidate = answer_node(question, context, res, cfg, warnings)
+            verdict = True
             if cfg.verification_enabled:
-                verdict = verify_answer(
-                    question, candidate, evidence, verified, ver, cfg, trace.warnings
-                )
+                verdict = verify_answer(question, candidate, context, ver, cfg, warnings)
                 trace.verify_calls += 1
-            else:
-                verdict = True
             rethink: Optional[str] = None
             if not verdict:
-                rethink = rethink_node(question, evidence, verified, res, cfg, verdict)
+                rethink = rethink_node(question, context, res, cfg, warnings)
                 trace.rethink_calls += 1
             final = rethink if rethink is not None else candidate
             outcome = Outcome.ABSTAINED if detect_abstention(final) else Outcome.ANSWERED
             trace.records.append(
                 NodeRecord(
                     node=node_id,
+                    question=question,
                     candidate=candidate,
                     verdict=verdict,
                     rethink=rethink,
@@ -195,7 +168,6 @@ def solve(
                     final=final,
                 )
             )
-            verified.append(VerifiedAnswer(question=question, answer=final, node=node_id))
     except BackendError as exc:
         raise ReasoningAborted(f"backend error during reasoning: {exc}", trace) from exc
     trace.final_answer = trace.records[-1].final if trace.records else ""

@@ -42,7 +42,6 @@ class ScoredTriple:
 class RetrievedTripleSet:
     kept: tuple[ScoredTriple, ...]
     candidate_count: int
-    epsilon: float
 
     def triples(self) -> list[Triple]:
         return [s.triple for s in self.kept]
@@ -154,4 +153,4 @@ def filter_by_similarity(
             if best > cfg.epsilon:
                 kept.append(ScoredTriple(triple=rows[i], best_key=best_key, score=best))
     kept.sort(key=lambda s: (-s.score, s.triple.sort_key()))
-    return RetrievedTripleSet(kept=tuple(kept), candidate_count=len(candidates), epsilon=cfg.epsilon)
+    return RetrievedTripleSet(kept=tuple(kept), candidate_count=len(candidates))

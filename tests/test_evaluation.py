@@ -129,6 +129,32 @@ class TestCategorize:
         assert categorize(pred, [gold]) in set(Category)
 
 
+
+class TestBareStringGold:
+    """A bare string is one gold answer, never a sequence of one-character golds."""
+
+    def test_exact_match(self):
+        assert exact_match("p", "Paris") == 0
+        assert exact_match("paris", "Paris") == 1
+
+    def test_f1(self):
+        assert f1("s", "Paris") == 0.0
+        assert f1("paris france", "Paris") == pytest.approx(2 / 3)
+
+    def test_rouge_l(self):
+        assert rouge_l("a", "abc") == 0.0
+        assert rouge_l("abc", "abc") == pytest.approx(1.0)
+
+    def test_categorize(self):
+        assert categorize("a", "Paris") is Category.HALLUCINATION
+        assert categorize("paris", "Paris") is Category.CORRECT
+
+    @pytest.mark.parametrize("metric", [exact_match, f1, rouge_l, categorize])
+    def test_empty_golds_rejected(self, metric):
+        with pytest.raises(ValueError, match="golds must be non-empty"):
+            metric("x", [])
+
+
 def fake_pipeline(answers: dict[str, str]):
     def run(question: str) -> ReasoningTrace:
         trace = ReasoningTrace()

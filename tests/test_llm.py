@@ -24,7 +24,6 @@ from kgqa.llm import (
 )
 from kgqa.mindmap import decompose_question, single_node_map
 from kgqa.reasoning import answer_node, rethink_node, verify_answer
-from kgqa.retrieval import RetrievedTripleSet
 
 
 def test_res_template_section_order():
@@ -169,7 +168,7 @@ def test_infer_template_name():
 
 
 POLICY_CFG = PipelineConfig(exploration_temperature=0.9, reasoning_temperature=0.2, max_tokens=77)
-NO_EVIDENCE = RetrievedTripleSet(kept=(), candidate_count=0, epsilon=0.7)
+CONTEXT = {"reasoning": "None", "knowledge": "None"}
 
 
 @pytest.mark.parametrize(
@@ -178,9 +177,9 @@ NO_EVIDENCE = RetrievedTripleSet(kept=(), candidate_count=0, epsilon=0.7)
         ("dec", 0.9, lambda b: decompose_question("Q?", b, POLICY_CFG)),
         ("ext_local", 0.9, lambda b: extract_local_keys(single_node_map("Q?"), b, POLICY_CFG)),
         ("ext_global", 0.9, lambda b: extract_global_keys(single_node_map("Q?"), b, POLICY_CFG)),
-        ("res", 0.2, lambda b: answer_node("Q?", NO_EVIDENCE, [], b, POLICY_CFG)),
-        ("ver", 0.2, lambda b: verify_answer("Q?", "A", NO_EVIDENCE, [], b, POLICY_CFG)),
-        ("rethink", 0.2, lambda b: rethink_node("Q?", NO_EVIDENCE, [], b, POLICY_CFG)),
+        ("res", 0.2, lambda b: answer_node("Q?", CONTEXT, b, POLICY_CFG, [])),
+        ("ver", 0.2, lambda b: verify_answer("Q?", "A", CONTEXT, b, POLICY_CFG, [])),
+        ("rethink", 0.2, lambda b: rethink_node("Q?", CONTEXT, b, POLICY_CFG, [])),
     ],
 )
 def test_stage_requests_carry_role_temperature_and_max_tokens(template, temperature, stage):

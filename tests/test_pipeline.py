@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import json
 
 import pytest
 
 from kgqa.config import load_config, parse_config_lines
-from kgqa.llm import ScriptRule, ScriptedBackend
+from kgqa.llm import RES_TEMPLATE, RETHINK_TEMPLATE, ScriptRule, ScriptedBackend
 from kgqa.pipeline import (
     Backends,
     PipelineConfig,
@@ -15,7 +16,8 @@ from kgqa.pipeline import (
     write_trace,
 )
 
-from conftest import BECKHAM_QUESTION, SUB_Q1, SUB_Q2, ScaledEmbedder, golden_rules
+from conftest import BECKHAM_QUESTION, FIXTURES, SUB_Q1, SUB_Q2, ScaledEmbedder, golden_rules
+from test_acceptance import _run_session, _session_rules
 
 
 # One out-of-range value per bounded field; NaN must not slip past a bound.
@@ -213,3 +215,48 @@ class TestWriteTrace:
         assert "manager recruited David Beckham; manager manage Manchester United" in first
         assert '"answer": "1986–2013"' in first
         assert first == render() == render()
+
+
+    def test_warnings_in_stage_order_from_one_list(self, fixture_graph):
+        answers = {SUB_Q1: "Alex Ferguson", SUB_Q2: "1986–2013", BECKHAM_QUESTION: "1986–2013"}
+        verdicts = {**{q: "right" for q in answers}, SUB_Q1: "wrong"}
+        rules = _session_rules(verdicts, answers, rethinks={SUB_Q1: "unused"})
+        for i, rule in enumerate(rules):
+            if "extract the subgraphs" in rule.patterns:
+                rules[i] = dataclasses.replace(rule, reply="no triples here")
+            if "re-think" in rule.patterns:
+                rules[i] = dataclasses.replace(rule, reply="Sir Alex Ferguson")
+        result, _ = _run_session(rules)
+        buffer = io.StringIO()
+        write_trace(buffer, result, PipelineConfig(), fixture_graph)
+        records = [json.loads(line) for line in buffer.getvalue().splitlines()]
+        assert [r["message"] for r in records if r["type"] == "warning"] == [
+            "global key extraction produced no parseable triples",
+            f"rethink without brackets for question: {SUB_Q1!r}",
+        ]
+        (leaf,) = [r for r in records if r.get("rethink") is not None]
+        assert leaf["final"] == "Sir Alex Ferguson"
+
+class TestGoldenRequests:
+    """The prompts themselves are pinned: the golden trace does not carry them."""
+
+    def test_requests_match_fixture(self, fixture_graph, golden_backend):
+        backends = Backends.single(golden_backend)
+        run_pipeline(BECKHAM_QUESTION, fixture_graph, PipelineConfig(), backends)
+        lines = [
+            json.dumps(dataclasses.asdict(r), ensure_ascii=False, sort_keys=True) + "\n"
+            for r in golden_backend.records
+        ]
+        assert "".join(lines).encode() == (FIXTURES / "beckham_requests.jsonl").read_bytes()
+
+    def test_one_wrong_rethinks_once_with_the_answer_context(self):
+        answers = {SUB_Q1: "Alex Ferguson", SUB_Q2: "1986–2013", BECKHAM_QUESTION: "1986–2013"}
+        verdicts = {**{q: "right" for q in answers}, SUB_Q1: "wrong"}
+        rules = _session_rules(verdicts, answers, rethinks={SUB_Q1: "Sir Alex Ferguson"})
+        _, backend = _run_session(rules)
+        prompts = [r.prompt for r in backend.records]
+        rethinks = [p for p in prompts if RETHINK_TEMPLATE.head in p]
+        assert len(rethinks) == 1
+        (answer,) = [p for p in prompts if RES_TEMPLATE.head in p and f"Input: {SUB_Q1}" in p]
+        context = "The completed reasoning: "
+        assert rethinks[0].split(context, 1)[1] == answer.split(context, 1)[1]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from typing import Optional, Sequence
+
 import pytest
 
 from kgqa.config import PipelineConfig
@@ -10,10 +12,10 @@ from kgqa.llm import RES_TEMPLATE, ScriptRule, ScriptedBackend
 from kgqa.mindmap import single_node_map
 from kgqa.reasoning import (
     ABSTENTION_PHRASE,
+    NodeRecord,
     Outcome,
     ReasoningAborted,
     RetrievedTripleSet,
-    VerifiedAnswer,
     answer_node,
     detect_abstention,
     rethink_node,
@@ -29,13 +31,27 @@ CFG = PipelineConfig()
 
 
 def no_evidence() -> RetrievedTripleSet:
-    return RetrievedTripleSet(kept=(), candidate_count=0, epsilon=0.7)
+    return RetrievedTripleSet(kept=(), candidate_count=0)
 
 
 def beckham_evidence() -> RetrievedTripleSet:
     t = Triple.from_surface("David Beckham", "recruited_by", "Alex Ferguson")
     keys = build_key_set([TripleKey("David Beckham", "recruited_by", "Alex Ferguson")])
     return filter_by_similarity({t}, keys, HashedEmbedder(), PipelineConfig(epsilon=0.5))
+
+
+def answered(question: str, answer: str, node: str) -> NodeRecord:
+    return NodeRecord(node, question, answer, True, None, Outcome.ANSWERED, answer)
+
+
+def context(
+    evidence: Optional[RetrievedTripleSet] = None, records: Sequence[NodeRecord] = ()
+) -> dict[str, str]:
+    """The bindings ``solve`` renders for a node."""
+    return {
+        "reasoning": serialize_verified(list(records)),
+        "knowledge": serialize_evidence(evidence or no_evidence(), CFG.max_evidence_triples),
+    }
 
 
 def res_backend(reply: str) -> ScriptedBackend:
@@ -60,30 +76,31 @@ class TestDetectAbstention:
 class TestAnswerNode:
     def test_bracketed_answer_extracted(self):
         backend = res_backend("[Alex Ferguson]")
-        answer = answer_node("Who recruited David Beckham?", beckham_evidence(), [], backend, CFG)
+        question = "Who recruited David Beckham?"
+        answer = answer_node(question, context(beckham_evidence()), backend, CFG, [])
         assert answer == "Alex Ferguson"
 
     def test_abstention_reply_passed_through(self):
         backend = res_backend(f"[{ABSTENTION_PHRASE}]")
-        answer = answer_node("Q?", no_evidence(), [], backend, CFG)
+        answer = answer_node("Q?", context(), backend, CFG, [])
         assert detect_abstention(answer)
 
     def test_no_brackets_returns_raw_with_warning(self):
         warnings: list[str] = []
         backend = res_backend("raw completion text")
-        answer = answer_node("Q?", no_evidence(), [], backend, CFG, warnings=warnings)
+        answer = answer_node("Q?", context(), backend, CFG, warnings)
         assert answer == "raw completion text"
-        assert warnings
+        assert warnings == ["answer without brackets for question: 'Q?'"]
 
     def test_reasoning_temperature_zero(self):
         backend = res_backend("[x]")
-        answer_node("Q?", no_evidence(), [], backend, CFG)
+        answer_node("Q?", context(), backend, CFG, [])
         assert backend.records[0].temperature == 0.0
 
     def test_prompt_contains_evidence_and_verified(self):
         backend = res_backend("[x]")
-        verified = [VerifiedAnswer(question="prior?", answer="prior answer", node="0.0")]
-        answer_node("Q?", beckham_evidence(), verified, backend, CFG)
+        verified = [answered("prior?", "prior answer", "0.0")]
+        answer_node("Q?", context(beckham_evidence(), verified), backend, CFG, [])
         prompt = backend.records[0].prompt
         assert "(David Beckham, recruited_by, Alex Ferguson)" in prompt
         assert "Q: prior?" in prompt and "A: prior answer" in prompt
@@ -91,40 +108,41 @@ class TestAnswerNode:
 
 class TestVerifyAnswer:
     def test_right(self):
-        assert verify_answer("Q?", "a", no_evidence(), [], ver_backend("[right]"), CFG) is True
+        assert verify_answer("Q?", "a", context(), ver_backend("[right]"), CFG, []) is True
 
     def test_wrong_case_insensitive(self):
-        assert verify_answer("Q?", "a", no_evidence(), [], ver_backend("[WRONG]"), CFG) is False
+        assert verify_answer("Q?", "a", context(), ver_backend("[WRONG]"), CFG, []) is False
 
     def test_unparseable_verdict_conservative(self):
         warnings: list[str] = []
-        verdict = verify_answer(
-            "Q?", "a", no_evidence(), [], ver_backend("maybe"), CFG, warnings=warnings
-        )
+        verdict = verify_answer("Q?", "a", context(), ver_backend("maybe"), CFG, warnings)
         assert verdict is False
         assert warnings
 
     def test_answer_bound_in_prompt(self):
         backend = ver_backend("[right]")
-        verify_answer("Q?", "my candidate", no_evidence(), [], backend, CFG)
+        verify_answer("Q?", "my candidate", context(), backend, CFG, [])
         assert "Answer: my candidate" in backend.records[0].prompt
 
 
 class TestRethinkNode:
     def test_bracketed_rethink(self):
         backend = ScriptedBackend([ScriptRule(patterns=("re-think",), reply="[Carabao Cup]")])
-        assert rethink_node("Q?", no_evidence(), [], backend, CFG) == "Carabao Cup"
+        warnings: list[str] = []
+        assert rethink_node("Q?", context(), backend, CFG, warnings) == "Carabao Cup"
+        assert warnings == []
 
     def test_abstention_rethink(self):
         backend = ScriptedBackend(
             [ScriptRule(patterns=("re-think",), reply=f"[{ABSTENTION_PHRASE}]")]
         )
-        assert detect_abstention(rethink_node("Q?", no_evidence(), [], backend, CFG))
+        assert detect_abstention(rethink_node("Q?", context(), backend, CFG, []))
 
-    def test_rethink_after_true_verdict_is_contract_violation(self):
-        backend = ScriptedBackend([ScriptRule(patterns=("re-think",), reply="[x]")])
-        with pytest.raises(ValueError):
-            rethink_node("Q?", no_evidence(), [], backend, CFG, verdict=True)
+    def test_no_brackets_returns_raw_with_warning(self):
+        warnings: list[str] = []
+        backend = ScriptedBackend([ScriptRule(patterns=("re-think",), reply=" Carabao Cup \n")])
+        assert rethink_node("Q?", context(), backend, CFG, warnings) == "Carabao Cup"
+        assert warnings == ["rethink without brackets for question: 'Q?'"]
 
 
 class TestSerializers:
@@ -136,7 +154,7 @@ class TestSerializers:
         assert serialize_evidence(no_evidence(), cap) == "None"
 
     def test_verified_lines(self):
-        vs = [VerifiedAnswer("q1?", "a1", "0.0"), VerifiedAnswer("q2?", "a2", "0.1")]
+        vs = [answered("q1?", "a1", "0.0"), answered("q2?", "a2", "0.1")]
         text = serialize_verified(vs)
         assert text == "Q: q1?\nA: a1\nQ: q2?\nA: a2"
         assert serialize_verified([]) == "None"
@@ -155,7 +173,7 @@ class TestSolve:
                 ScriptRule(patterns=("logical verification",), reply="[right]"),
             ]
         )
-        trace = solve(m, no_evidence(), backend, backend, CFG)
+        trace = solve(m, no_evidence(), backend, backend, CFG, [])
         assert len(trace.records) == 1
         assert trace.final_answer == "final"
         assert trace.verify_calls == 1
@@ -170,7 +188,7 @@ class TestSolve:
                 ScriptRule(patterns=("re-think",), reply="[Carabao Cup]"),
             ]
         )
-        trace = solve(m, no_evidence(), backend, backend, CFG)
+        trace = solve(m, no_evidence(), backend, backend, CFG, [])
         record = trace.records[0]
         assert record.verdict is False
         assert record.rethink == "Carabao Cup"
@@ -183,7 +201,8 @@ class TestSolve:
         backend = scripted_session(
             [ScriptRule(patterns=("answer the questions",), reply="[a]")]
         )
-        trace = solve(m, no_evidence(), backend, backend, PipelineConfig(verification_enabled=False))
+        cfg = PipelineConfig(verification_enabled=False)
+        trace = solve(m, no_evidence(), backend, backend, cfg, [])
         assert trace.verify_calls == 0
         assert trace.rethink_calls == 0
         assert trace.records[0].verdict is True
@@ -197,7 +216,7 @@ class TestSolve:
                 ScriptRule(patterns=("logical verification",), reply="[right]"),
             ]
         )
-        trace = solve(m, no_evidence(), backend, backend, CFG)
+        trace = solve(m, no_evidence(), backend, backend, CFG, [])
         assert trace.records[0].outcome is Outcome.ABSTAINED
         assert detect_abstention(trace.final_answer)
 
@@ -206,7 +225,7 @@ class TestSolve:
         from conftest import BECKHAM_QUESTION, SUB_Q1
 
         m = build_mind_map(BECKHAM_QUESTION, golden_backend, CFG)
-        trace = solve(m, no_evidence(), golden_backend, golden_backend, CFG)
+        trace = solve(m, no_evidence(), golden_backend, golden_backend, CFG, [])
         # root's reasoning prompt must carry both verified leaf answers
         res_prompts = [
             r.prompt
@@ -216,6 +235,45 @@ class TestSolve:
         assert f"Q: {SUB_Q1}" in res_prompts[-1]
         assert "A: Alex Ferguson" in res_prompts[-1]
         assert trace.final_answer == "1986–2013"
+
+    def test_context_rendered_once_per_node_and_knowledge_once(
+        self, golden_backend, monkeypatch
+    ):
+        import kgqa.reasoning as reasoning
+        from kgqa.mindmap import build_mind_map
+        from conftest import BECKHAM_QUESTION
+
+        calls = {"serialize_evidence": 0, "serialize_verified": 0}
+        for name in calls:
+            original = getattr(reasoning, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(reasoning, name, counted)
+        m = build_mind_map(BECKHAM_QUESTION, golden_backend, CFG)
+        trace = solve(m, beckham_evidence(), golden_backend, golden_backend, CFG, [])
+        assert calls == {"serialize_evidence": 1, "serialize_verified": len(m.nodes)}
+        assert trace.verify_calls == len(m.nodes)
+
+    def test_warnings_appended_to_callers_list(self):
+        m = single_node_map("Q?")
+        backend = scripted_session(
+            [
+                ScriptRule(patterns=("answer the questions",), reply="first guess"),
+                ScriptRule(patterns=("logical verification",), reply="[wrong]"),
+                ScriptRule(patterns=("re-think",), reply="second guess"),
+            ]
+        )
+        warnings = ["from an earlier stage"]
+        trace = solve(m, no_evidence(), backend, backend, CFG, warnings)
+        assert warnings == [
+            "from an earlier stage",
+            "answer without brackets for question: 'Q?'",
+            "rethink without brackets for question: 'Q?'",
+        ]
+        assert trace.records[0].rethink == trace.final_answer == "second guess"
 
     def test_backend_error_carries_partial_trace(self):
         from kgqa.mindmap import MindMap, MindMapNode, NodeState
@@ -234,5 +292,5 @@ class TestSolve:
             ]
         )
         with pytest.raises(ReasoningAborted) as exc:
-            solve(m, no_evidence(), backend, backend, CFG)
+            solve(m, no_evidence(), backend, backend, CFG, [])
         assert len(exc.value.partial_trace.records) == 1
