@@ -12,9 +12,15 @@ dot product. It may also offer ``embed_many(texts)``, an ``(n, dimension)``
 array of the rows ``embed`` returns; ``embed_matrix`` uses it when present
 and stacks ``embed`` results otherwise. Where a reused matrix is built,
 ``check_unit_rows`` raises ValueError for a row of any other norm.
+
+An embedder may also offer ``counts(text)``: the unnormalised vector whose
+normalisation is ``embed(text)``, additive over texts joined by a space, as
+a bag of tokens is. The graph then scores triples and resolves entities from
+per-string counts (see ``kg_store``) instead of embedding every triple.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 import threading
@@ -76,6 +82,8 @@ def embed_matrix(embedder: Embedder, texts: Sequence[str]) -> np.ndarray:
     return out
 
 
+# Bounded: a 100k-triple graph has about 47k distinct tokens.
+@functools.lru_cache(maxsize=1 << 16)
 def _bucket(token: str, dimension: int) -> int:
     digest = hashlib.md5(token.encode("utf-8")).hexdigest()
     return int(digest, 16) % dimension
@@ -89,23 +97,25 @@ class HashedEmbedder:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
 
-    def embed(self, text: str) -> np.ndarray:
-        return self._fill(np.zeros(self.dimension, dtype=np.float64), text)
-
-    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
-        out = np.zeros((len(texts), self.dimension), dtype=np.float64)
-        for row, text in zip(out, texts):
-            self._fill(row, text)
-        return out
-
-    def _fill(self, vec: np.ndarray, text: str) -> np.ndarray:
-        """Write the unit token-count vector of ``text`` into the zero vector ``vec``."""
+    def counts(self, text: str) -> np.ndarray:
+        """The token counts of ``text``, one bucket per token."""
+        vec = np.zeros(self.dimension, dtype=np.float64)
         for token in _TOKEN_RE.findall(text.lower()):
             vec[_bucket(token, self.dimension)] += 1.0
+        return vec
+
+    def embed(self, text: str) -> np.ndarray:
+        vec = self.counts(text)
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec /= norm
         return vec
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        out = np.empty((len(texts), self.dimension), dtype=np.float64)
+        for row, text in zip(out, texts):
+            row[:] = self.embed(text)
+        return out
 
 
 class CachingEmbedder:
@@ -116,6 +126,10 @@ class CachingEmbedder:
         self.dimension = inner.dimension
         self._cache: dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
+        # Counts feed tables the graph keeps per embedder, so they pass uncached.
+        counts = getattr(inner, "counts", None)
+        if counts is not None:
+            self.counts = counts
 
     def embed(self, text: str) -> np.ndarray:
         with self._lock:

@@ -2,17 +2,30 @@
 
 The graph is loaded once from a TSV stream (``head<TAB>relation<TAB>tail``
 per line, ``#`` comments and blank lines ignored) and is read-only after
-that, so it is safe to share across threads. The one thing built later, the
-per-embedder entity index behind a fuzzy resolve, is built under a lock.
+that, so it is safe to share across threads.
+
+Storage is columnar: int32 columns of ids into one pool of distinct texts.
+A row holds its head, relation and tail, and the surfaces of its head and
+tail, which serialisation and traces read. Canonicals open the pool in
+sorted order, so an entity's id is its canonical's, and rows are sorted by
+canonical and relation text: row order is ``Triple.sort_key`` order. A CSR
+adjacency lists each entity's rows. ``Triple`` and ``EntityId`` objects are
+built only when asked for.
+
+Built later, under a lock, and dropped with its embedder: the per-embedder
+index behind a fuzzy resolve. For an embedder with ``counts`` it is a
+``CountTable``, which also scores triples for retrieval; for any other, the
+dense matrix of the entities' vectors.
 """
 from __future__ import annotations
 
 import hashlib
 import threading
 import weakref
-from collections import deque
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -87,43 +100,135 @@ class Triple:
         return self.sort_key() < other.sort_key()
 
 
+# A row's fields before interning: head canonical, head surface, relation,
+# tail canonical, tail surface.
+_Fields = tuple[str, str, str, str, str]
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(start, stop)`` over the pairs."""
+    lengths = stops - starts
+    offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return offsets + np.arange(len(offsets))
+
+
+def _ranked(texts: list[str]) -> tuple[list[str], np.ndarray]:
+    """``texts`` sorted, and the sorted position of each text by its old index."""
+    order = sorted(range(len(texts)), key=texts.__getitem__)
+    rank = np.empty(len(texts), dtype=np.int32)
+    rank[order] = np.arange(len(texts), dtype=np.int32)
+    return [texts[i] for i in order], rank
+
+
+# Texts whose counts ``CountTable`` stacks at a time: 1 MB at 256 dimensions.
+_COUNT_BLOCK = 512
+
+
+def _inverse(norms: np.ndarray) -> np.ndarray:
+    """1 / norm, and 0 where the norm is 0."""
+    return np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+
+
+def _grown(items: np.ndarray, size: int, capacity: int) -> np.ndarray:
+    """The first ``size`` of ``items`` at the head of a new array of ``capacity``."""
+    out = np.empty(capacity, dtype=items.dtype)
+    out[:size] = items[:size]
+    return out
+
+
 class KnowledgeGraph:
     """An indexed, deduplicated set of triples with undirected adjacency."""
 
     def __init__(self, triples: Iterable[Triple]):
-        unique: dict[tuple[str, str, str], Triple] = {}
-        for t in triples:
-            unique.setdefault(t.sort_key(), t)
-        self._triples: tuple[Triple, ...] = tuple(sorted(unique.values(), key=Triple.sort_key))
-        self._entities: dict[str, EntityId] = {}
-        self._adjacency: dict[str, set[Triple]] = {}
-        for t in self._triples:
-            for end in (t.head, t.tail):
-                self._entities.setdefault(end.canonical, end)
-                self._adjacency.setdefault(end.canonical, set()).add(t)
-        self._sorted_entities = tuple(self._entities[c] for c in sorted(self._entities))
-        # Per embedder: its vectors of the sorted entities, one row each. Built
-        # on the first fuzzy resolve and dropped with the embedder.
-        self._indexes: weakref.WeakKeyDictionary[Embedder, np.ndarray]
+        self._build(
+            (t.head.canonical, t.head.surface, t.relation, t.tail.canonical, t.tail.surface)
+            for t in triples
+        )
+
+    @classmethod
+    def _from_fields(cls, fields: Iterable[_Fields]) -> "KnowledgeGraph":
+        graph = cls.__new__(cls)
+        graph._build(fields)
+        return graph
+
+    def _build(self, fields: Iterable[_Fields]) -> None:
+        canonicals: dict[str, int] = {}
+        surfaces: dict[str, int] = {}
+        relations: dict[str, int] = {}
+        columns = [array("i") for _ in range(5)]
+        head, head_surface, relation, tail, tail_surface = (c.append for c in columns)
+        for hc, hs, rel, tc, ts in fields:
+            head(canonicals.setdefault(hc, len(canonicals)))
+            head_surface(surfaces.setdefault(hs, len(surfaces)))
+            relation(relations.setdefault(rel, len(relations)))
+            tail(canonicals.setdefault(tc, len(canonicals)))
+            tail_surface(surfaces.setdefault(ts, len(surfaces)))
+        canonical_texts, canonical_rank = _ranked(list(canonicals))
+        relation_texts, relation_rank = _ranked(list(relations))
+        self._entity_ids = {c: i for i, c in enumerate(canonical_texts)}
+        # One pool of distinct texts: the canonicals, ranked, so that an
+        # entity's id is its canonical's; then the other surfaces and relations.
+        pool = dict(self._entity_ids)
+        surface_text = np.array([pool.setdefault(s, len(pool)) for s in surfaces], dtype=np.int32)
+        relation_text = np.array([pool.setdefault(r, len(pool)) for r in relation_texts], dtype=np.int32)
+        self._texts = list(pool)
+        h, hs, r, t, ts = (np.array(c, dtype=np.int32) for c in columns)
+        h, r, t = canonical_rank[h], relation_rank[r], canonical_rank[t]
+        hs, ts = surface_text[hs], surface_text[ts]
+        # A stable sort keeps the first line of each duplicate group first.
+        order = np.lexsort((t, r, h))
+        h, hs, r, t, ts = (c[order] for c in (h, hs, r, t, ts))
+        first = np.ones(len(h), dtype=bool)
+        first[1:] = (h[1:] != h[:-1]) | (r[1:] != r[:-1]) | (t[1:] != t[:-1])
+        h, hs, r, t, ts = (c[first] for c in (h, hs, r, t, ts))
+        # Every column now holds text ids; the relations' ranks served the sort.
+        self._head, self._head_surface, self._relation = h, hs, relation_text[r]
+        self._tail, self._tail_surface = t, ts
+        # An entity shows the surface of its first appearance, head before tail.
+        _, first_seen = np.unique(np.stack((h, t), axis=1).ravel(), return_index=True)
+        self._entity_surface = np.stack((hs, ts), axis=1).ravel()[first_seen]
+        # CSR adjacency: each entity's rows, ascending; a self-loop once.
+        rows = np.arange(len(h), dtype=np.int32)
+        ends = np.concatenate((h, t[h != t]))
+        owners = np.concatenate((rows, rows[h != t]))
+        self._adjacent_rows = owners[np.lexsort((owners, ends))]
+        self._adjacency_start = np.zeros(self.entity_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=self.entity_count), out=self._adjacency_start[1:])
+        # Per embedder: a CountTable or a dense entity matrix, built on first
+        # use and dropped with the embedder.
+        self._indexes: weakref.WeakKeyDictionary[Embedder, "CountTable | np.ndarray"]
         self._indexes = weakref.WeakKeyDictionary()
         self._index_lock = threading.Lock()
 
+    def triple(self, row: int) -> Triple:
+        """The triple at ``row``; rows are numbered in ``Triple.sort_key`` order."""
+        texts = self._texts
+        return Triple(
+            head=EntityId(texts[self._head[row]], texts[self._head_surface[row]]),
+            relation=texts[self._relation[row]],
+            tail=EntityId(texts[self._tail[row]], texts[self._tail_surface[row]]),
+        )
+
     @property
     def triples(self) -> tuple[Triple, ...]:
-        return self._triples
+        """Every triple in ``Triple.sort_key`` order, built on each access."""
+        return tuple(map(self.triple, range(self.triple_count)))
 
     @property
     def triple_count(self) -> int:
-        return len(self._triples)
+        return len(self._head)
 
     @property
     def entity_count(self) -> int:
-        return len(self._entities)
+        return len(self._entity_ids)
 
-    @property
+    def _entity(self, entity: int) -> EntityId:
+        return EntityId(self._texts[entity], self._texts[self._entity_surface[entity]])
+
+    @cached_property
     def entities(self) -> tuple[EntityId, ...]:
         """Every entity, sorted by canonical."""
-        return self._sorted_entities
+        return tuple(map(self._entity, range(self.entity_count)))
 
     def resolve_entity(
         self,
@@ -141,73 +246,208 @@ class KnowledgeGraph:
         if not mention.strip():
             raise ValueError("mention must be non-empty")
         canonical = normalize(mention)
-        if canonical in self._entities:
-            return self._entities[canonical]
-        if embedder is None or not self._entities:
+        exact = self._entity_ids.get(canonical)
+        if exact is not None:
+            return self._entity(exact)
+        if embedder is None or not self._entity_ids:
             return None
-        matrix = self._entity_index(embedder)
+        index = self._index(embedder)
         mention_vec = embedder.embed(canonical)
-        scores = matrix @ mention_vec
+        if isinstance(index, CountTable):
+            scores = index.entity_scores(mention_vec, embedder.counts)
+        else:
+            scores = index @ mention_vec
         np.clip(scores, -1.0, 1.0, out=scores)
         floor = max(float(scores.max()), threshold) - RESCORE_TOLERANCE
-        best: Optional[EntityId] = None
+        best: Optional[int] = None
         best_score = threshold
-        for row in np.flatnonzero(scores >= floor):
-            score = cosine_sim(mention_vec, matrix[row])
+        shortlist = np.flatnonzero(scores >= floor)
+        if isinstance(index, CountTable):
+            vectors = [embedder.embed(self._texts[row]) for row in shortlist]
+        else:
+            vectors = index[shortlist]
+        for row, vec in zip(shortlist, vectors):
+            score = cosine_sim(mention_vec, vec)
             if score > best_score:
-                best = self._sorted_entities[row]
+                best = row
                 best_score = score
-        return best
+        return None if best is None else self._entity(best)
 
-    def _entity_index(self, embedder: Embedder) -> np.ndarray:
+    def _index(self, embedder: Embedder) -> "CountTable | np.ndarray":
         with self._index_lock:
-            matrix = self._indexes.get(embedder)
-            if matrix is None:
-                matrix = embed_matrix(embedder, [e.canonical for e in self._sorted_entities])
-                matrix = self._indexes[embedder] = check_unit_rows(matrix)
-        return matrix
+            index = self._indexes.get(embedder)
+            if index is None:
+                if getattr(embedder, "counts", None) is not None:
+                    index = CountTable(self, embedder.dimension)
+                else:
+                    entities = self._texts[: self.entity_count]
+                    index = check_unit_rows(embed_matrix(embedder, entities))
+                self._indexes[embedder] = index
+        return index
 
-    def neighbors(self, entity: "EntityId | str", hops: int = 1) -> set[Triple]:
-        """All triples reachable by breadth-first expansion within ``hops`` edges."""
+    def count_table(self, embedder: Embedder) -> "Optional[CountTable]":
+        """The graph's count table for ``embedder``; None if it offers no ``counts``."""
+        if getattr(embedder, "counts", None) is None:
+            return None
+        return self._index(embedder)
+
+    def neighbors(self, entity: "EntityId | str", hops: int = 1) -> np.ndarray:
+        """The sorted ids of every row reachable by breadth-first expansion
+        within ``hops`` edges (see ``triple``)."""
         if hops < 1:
             raise ValueError("hops must be >= 1")
         canonical = entity.canonical if isinstance(entity, EntityId) else normalize(entity)
-        if canonical not in self._adjacency:
-            return set()
-        seen_entities = {canonical}
-        frontier = deque([canonical])
-        collected: set[Triple] = set()
-        for _ in range(hops):
-            next_frontier: deque[str] = deque()
-            while frontier:
-                current = frontier.popleft()
-                for t in self._adjacency.get(current, ()):
-                    collected.add(t)
-                    for end in (t.head.canonical, t.tail.canonical):
-                        if end not in seen_entities:
-                            seen_entities.add(end)
-                            next_frontier.append(end)
-            frontier = next_frontier
-            if not frontier:
+        start = self._entity_ids.get(canonical)
+        if start is None:
+            return np.empty(0, dtype=np.int32)
+        seen = frontier = np.array([start])
+        collected = []
+        for hop in range(hops):
+            rows = self._adjacent_rows[
+                _ranges(self._adjacency_start[frontier], self._adjacency_start[frontier + 1])
+            ]
+            collected.append(rows)
+            if hop + 1 == hops:
                 break
-        return collected
+            ends = np.union1d(self._head[rows], self._tail[rows])
+            frontier = np.setdiff1d(ends, seen, assume_unique=True)
+            if not frontier.size:
+                break
+            seen = np.union1d(seen, frontier)
+        return np.unique(np.concatenate(collected))
+
+    @cached_property
+    def _digest(self) -> str:
+        h = hashlib.sha256()
+        texts = self._texts
+        for head, relation, tail in zip(self._head.tolist(), self._relation.tolist(), self._tail.tolist()):
+            h.update(f"{texts[head]}\t{texts[relation]}\t{texts[tail]}\n".encode("utf-8"))
+        return h.hexdigest()
 
     def digest(self) -> str:
         """Stable content hash of the triple set, for trace headers."""
-        h = hashlib.sha256()
-        for t in self._triples:
-            h.update("\t".join(t.sort_key()).encode("utf-8"))
-            h.update(b"\n")
-        return h.hexdigest()
+        return self._digest
 
 
-def load_graph(lines: Iterable[str]) -> KnowledgeGraph:
-    """Parse a line-oriented TSV stream into a KnowledgeGraph.
+class CountTable:
+    """Sparse token counts of a graph's texts under one embedder's ``counts``.
 
-    Duplicate lines deduplicate; an empty stream yields an empty graph.
-    Raises GraphParseError on a line with the wrong field count.
+    Each of the graph's distinct texts (canonicals, surfaces, relations) owns
+    a segment of ``(bucket, count)`` pairs, filled the first time the text
+    is needed; the entities' segments are filled together on the first fuzzy
+    resolve. As ``counts`` is additive over texts joined by a space, a
+    triple's vector is the sum of its head surface's, relation's and tail
+    surface's, so its dot product with a key is the sum of theirs, scaled by
+    the triple's inverse norm; that norm is computed the first time its row
+    is scored and then kept. The table holds no reference to the embedder,
+    so the graph's weak map can drop it with the embedder: each method that
+    may fill segments takes the embedder's ``counts``.
     """
-    triples: list[Triple] = []
+
+    def __init__(self, graph: KnowledgeGraph, dimension: int):
+        self._texts = graph._texts
+        self._dimension = dimension
+        self._start = np.full(len(self._texts), -1, dtype=np.int64)
+        self._stop = np.full(len(self._texts), -1, dtype=np.int64)
+        self._buckets = np.empty(0, dtype=np.int64)
+        self._values = np.empty(0)
+        self._size = 0
+        self._lock = threading.Lock()
+        self._entities = graph.entity_count
+        self._entity_block: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
+        self._heads, self._relations, self._tails = graph._head_surface, graph._relation, graph._tail_surface
+        self._row_inverse_norms = np.full(graph.triple_count, np.nan)
+
+    def _fill(self, texts: np.ndarray, counts: Callable[[str], np.ndarray]) -> None:
+        """Give every text id in ``texts`` its segment."""
+        if (self._stop[texts] >= 0).all():
+            return
+        with self._lock:
+            missing = np.unique(texts[self._stop[texts] < 0])
+            for first in range(0, len(missing), _COUNT_BLOCK):
+                ids = missing[first : first + _COUNT_BLOCK]
+                block = np.empty((len(ids), self._dimension))
+                for row, text in zip(block, ids.tolist()):
+                    row[:] = counts(self._texts[text])
+                owner, buckets = np.nonzero(block)
+                lengths = np.bincount(owner, minlength=len(ids))
+                end = self._size + len(buckets)
+                if end > len(self._buckets):
+                    capacity = max(end, 2 * len(self._buckets))
+                    self._buckets = _grown(self._buckets, self._size, capacity)
+                    self._values = _grown(self._values, self._size, capacity)
+                self._buckets[self._size : end] = buckets
+                self._values[self._size : end] = block[owner, buckets]
+                stops = self._size + np.cumsum(lengths)
+                # Segments are written before they are published.
+                self._start[ids] = stops - lengths
+                self._stop[ids] = stops
+                self._size = end
+
+    def entity_scores(self, vec: np.ndarray, counts: Callable[[str], np.ndarray]) -> np.ndarray:
+        """Each entity's cosine similarity with the unit-or-zero ``vec``, unclipped."""
+        if self._entity_block is None:
+            entities = np.arange(self._entities)
+            self._fill(entities, counts)
+            lengths = self._stop[entities] - self._start[entities]
+            at = _ranges(self._start[entities], self._stop[entities])
+            owner, buckets, values = np.repeat(entities, lengths), self._buckets[at], self._values[at]
+            squares = np.bincount(owner, weights=values * values, minlength=self._entities)
+            self._entity_block = owner, buckets, values, _inverse(np.sqrt(squares))
+        owner, buckets, values, inverse_norms = self._entity_block
+        return np.bincount(owner, weights=values * vec[buckets], minlength=self._entities) * inverse_norms
+
+    def row_texts(self, rows: np.ndarray) -> np.ndarray:
+        """The ``(3, len(rows))`` text ids of the rows' head surfaces, relations
+        and tail surfaces."""
+        return np.stack((self._heads[rows], self._relations[rows], self._tails[rows]))
+
+    def dots(
+        self, texts: np.ndarray, key_matrix: np.ndarray, counts: Callable[[str], np.ndarray]
+    ) -> np.ndarray:
+        """The ``(len(texts), len(key_matrix))`` dot products of the texts'
+        counts with the key rows."""
+        self._fill(texts, counts)
+        starts, stops = self._start[texts], self._stop[texts]
+        at = _ranges(starts, stops)
+        terms = self._values[at, None] * np.ascontiguousarray(key_matrix.T)[self._buckets[at]]
+        out = np.zeros((len(texts), len(key_matrix)))
+        nonempty = stops > starts
+        if at.size:
+            lengths = stops - starts
+            out[nonempty] = np.add.reduceat(terms, (np.cumsum(lengths) - lengths)[nonempty], axis=0)
+        return out
+
+    def inverse_norms(self, rows: np.ndarray, counts: Callable[[str], np.ndarray]) -> np.ndarray:
+        """1 / the norm of each row's summed counts, 0 for a row with none."""
+        inverse = self._row_inverse_norms[rows]
+        todo = np.isnan(inverse)
+        if todo.any():
+            fresh = rows[todo]
+            texts = self.row_texts(fresh).ravel()
+            self._fill(texts, counts)
+            starts, stops = self._start[texts], self._stop[texts]
+            at = _ranges(starts, stops)
+            owner = np.repeat(np.tile(np.arange(len(fresh)), 3), stops - starts)
+            cells, cell_of = np.unique(owner * self._dimension + self._buckets[at], return_inverse=True)
+            sums = np.bincount(cell_of, weights=self._values[at])
+            squares = np.bincount(cells // self._dimension, weights=sums * sums, minlength=len(fresh))
+            # Concurrent questions may both fill a row; they write the same value.
+            inverse[todo] = self._row_inverse_norms[fresh] = _inverse(np.sqrt(squares))
+        return inverse
+
+
+class _Normalized(dict):
+    """``normalize(text)`` by ``text``, computed once per distinct text."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = value = normalize(text)
+        return value
+
+
+def _parse(lines: Iterable[str]) -> Iterator[_Fields]:
+    """The fields of each triple line; raises GraphParseError on a bad line."""
+    normalized = _Normalized()
     for line_number, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -217,11 +457,20 @@ def load_graph(lines: Iterable[str]) -> KnowledgeGraph:
             raise GraphParseError(
                 line_number, f"expected 3 tab-separated fields, got {len(fields)}"
             )
-        head, relation, tail = (f.strip() for f in fields)
+        head, relation, tail = fields[0].strip(), fields[1].strip(), fields[2].strip()
         if not head or not relation or not tail:
             raise GraphParseError(line_number, "empty field in triple")
-        triples.append(Triple.from_surface(head, relation, tail))
-    return KnowledgeGraph(triples)
+        yield normalized[head], head, normalized[relation], normalized[tail], tail
+
+
+def load_graph(lines: Iterable[str]) -> KnowledgeGraph:
+    """Parse a line-oriented TSV stream into a KnowledgeGraph.
+
+    Duplicate lines deduplicate, the first line's surfaces kept; an empty
+    stream yields an empty graph. Raises GraphParseError on a line with the
+    wrong field count.
+    """
+    return KnowledgeGraph._from_fields(_parse(lines))
 
 
 def load_graph_file(path: str) -> KnowledgeGraph:

@@ -23,7 +23,7 @@ from .kg_store import KnowledgeGraph
 from .llm import LLMBackend
 from .mindmap import MindMap, build_mind_map, single_node_map
 from .reasoning import ReasoningAborted, ReasoningTrace, solve
-from .retrieval import RetrievedTripleSet, filter_by_similarity, gather_candidates
+from .retrieval import RetrievedTripleSet, embed_keys, filter_by_similarity, gather_candidates
 
 
 @dataclass
@@ -39,11 +39,19 @@ class Backends:
 
 
 class PipelineStageError(RuntimeError):
-    """A pipeline stage failed; carries the stage label and any partial trace."""
+    """A pipeline stage failed; carries the stage label, any partial trace
+    and the question's warnings collected until the failure."""
 
-    def __init__(self, stage: str, cause: Exception, partial_trace: Optional[ReasoningTrace] = None):
+    def __init__(
+        self,
+        stage: str,
+        cause: Exception,
+        warnings: list[str],
+        partial_trace: Optional[ReasoningTrace] = None,
+    ):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
+        self.warnings = warnings
         self.partial_trace = partial_trace
 
 
@@ -75,7 +83,7 @@ def run_pipeline(
         else:
             mind_map = single_node_map(question)
     except Exception as exc:
-        raise PipelineStageError("decomposition", exc) from exc
+        raise PipelineStageError("decomposition", exc, warnings) from exc
 
     try:
         keys = extract_local_keys(mind_map, backends.res, cfg, warnings)
@@ -83,20 +91,21 @@ def run_pipeline(
             keys = keys + extract_global_keys(mind_map, backends.res, cfg, warnings)
         key_set = build_key_set(keys)
     except Exception as exc:
-        raise PipelineStageError("extraction", exc) from exc
+        raise PipelineStageError("extraction", exc, warnings) from exc
 
     try:
-        candidates = gather_candidates(graph, key_set, backends.embedder, cfg)
-        evidence = filter_by_similarity(candidates, key_set, backends.embedder, cfg)
+        key_matrix = embed_keys(key_set, backends.embedder)
+        candidates = gather_candidates(graph, key_set, backends.embedder, cfg, key_matrix)
+        evidence = filter_by_similarity(candidates, key_set, backends.embedder, cfg, key_matrix)
     except Exception as exc:
-        raise PipelineStageError("retrieval", exc) from exc
+        raise PipelineStageError("retrieval", exc, warnings) from exc
 
     try:
         trace = solve(mind_map, evidence, backends.res, backends.ver, cfg, warnings)
     except ReasoningAborted as exc:
-        raise PipelineStageError("reasoning", exc, partial_trace=exc.partial_trace) from exc
+        raise PipelineStageError("reasoning", exc, warnings, exc.partial_trace) from exc
     except Exception as exc:
-        raise PipelineStageError("reasoning", exc) from exc
+        raise PipelineStageError("reasoning", exc, warnings) from exc
 
     return PipelineResult(
         question=question,

@@ -4,7 +4,10 @@ A triple survives when its best cosine similarity against any key text
 strictly exceeds epsilon. The kept set is canonically sorted so results do
 not depend on candidate iteration order.
 
-Candidates are scored against all keys at once, ``_BLOCK_ROWS`` triples per
+Candidates travel as graph row ids. They are scored against all keys at
+once: for an embedder with ``counts``, from the graph's count table, as
+sums of per-string dot products scaled by each row's inverse norm, so no
+candidate is embedded; for any other, ``_BLOCK_ROWS`` embedded triples per
 matrix product. Those scores rank a hub's expansion for the hub cap and
 pre-screen the epsilon filter; every triple the filter keeps is re-scored
 exactly by ``_best_key``, so kept triples, keys and scores do not depend on
@@ -13,13 +16,14 @@ the order of the vectorised sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .config import PipelineConfig
 from .embedding import RESCORE_TOLERANCE, Embedder, check_unit_rows, cosine_sim
 from .extraction import Key, KeySet
-from .kg_store import KnowledgeGraph, Triple
+from .kg_store import CountTable, KnowledgeGraph, Triple
 
 # Triples embedded and scored per matrix product. The one block buffer costs
 # _BLOCK_ROWS x dimension x 8 bytes (1 MB at 256 dimensions) however large an
@@ -47,12 +51,33 @@ class RetrievedTripleSet:
         return [s.triple for s in self.kept]
 
 
-def _embed_keys(keys: KeySet, embedder: Embedder) -> tuple[list[Key], np.ndarray]:
+class KeyMatrix(NamedTuple):
     """The scoring keys and the checked matrix of their vectors, one row each."""
+
+    keys: list[Key]
+    matrix: np.ndarray
+
+
+def embed_keys(keys: KeySet, embedder: Embedder) -> KeyMatrix:
+    """Embed a question's scoring keys once, for both retrieval stages."""
     pairs = keys.scoring_pairs()
     vectors = [embedder.embed(text) for _, text in pairs]
     key_matrix = np.array(vectors, dtype=np.float64).reshape(len(pairs), embedder.dimension)
-    return [key for key, _ in pairs], check_unit_rows(key_matrix)
+    return KeyMatrix([key for key, _ in pairs], check_unit_rows(key_matrix))
+
+
+@dataclass(frozen=True, eq=False)
+class CandidateRows:
+    """Sorted, unique row ids of one graph: the candidates of one question."""
+
+    graph: KnowledgeGraph
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def triples(self) -> list[Triple]:
+        return [self.graph.triple(row) for row in self.rows]
 
 
 def _best_key(
@@ -83,28 +108,53 @@ def _max_scores(triples: list[Triple], embedder: Embedder, key_matrix: np.ndarra
     return scores
 
 
-def _hub_cap(
-    expansion: set[Triple], embedder: Embedder, key_matrix: np.ndarray, cap: int
-) -> list[Triple]:
-    """The ``cap`` triples of ``expansion`` that score highest against the keys.
+def _additive_scores(
+    table: CountTable, rows: np.ndarray, key_matrix: np.ndarray, counts: Callable[[str], np.ndarray]
+) -> np.ndarray:
+    """Each row's best cosine similarity over the keys, from the count table.
 
-    Let ``cut`` be the cap-th highest vectorised score. Triples scoring more
+    Each distinct text among the rows is dotted with the keys once; a row's
+    dots are the sum of its three texts'. Like ``_max_scores``, it agrees
+    with ``_best_key`` to within a few ulps.
+    """
+    texts, where = np.unique(table.row_texts(rows), return_inverse=True)
+    dots = table.dots(texts, key_matrix, counts)
+    where = where.reshape(3, len(rows))
+    best = (dots[where[0]] + dots[where[1]] + dots[where[2]]).max(axis=1)
+    best *= table.inverse_norms(rows, counts)
+    return np.clip(best, -1.0, 1.0, out=best)
+
+
+def _row_scores(
+    g: KnowledgeGraph, rows: np.ndarray, embedder: Embedder, key_matrix: np.ndarray
+) -> np.ndarray:
+    table = g.count_table(embedder)
+    if table is None:
+        return _max_scores([g.triple(row) for row in rows], embedder, key_matrix)
+    return _additive_scores(table, rows, key_matrix, embedder.counts)
+
+
+def _hub_cap(
+    g: KnowledgeGraph, expansion: np.ndarray, embedder: Embedder, key_matrix: np.ndarray, cap: int
+) -> np.ndarray:
+    """The ``cap`` rows of ``expansion`` whose triples score highest against the keys.
+
+    Let ``cut`` be the cap-th highest vectorised score. Rows scoring more
     than ``RESCORE_TOLERANCE`` above it are in; those within the tolerance
-    of it fill the places left in ``Triple.sort_key`` order. Scores that are
-    mathematically equal can differ by a few ulps with summation order, so
-    ties at the cap break by ``sort_key``, not by that noise; only triples
-    within the tolerance of ``cut`` can be chosen differently than by exact
-    ``_best_key`` scores. With no keys the lexicographically first triples win.
+    of it fill the places left in row order, which is ``Triple.sort_key``
+    order. Scores that are mathematically equal can differ by a few ulps
+    with summation order, so ties at the cap break by ``sort_key``, not by
+    that noise; only rows within the tolerance of ``cut`` can be chosen
+    differently than by exact ``_best_key`` scores. With no keys the
+    lexicographically first triples win.
     """
     if len(key_matrix) == 0:
-        return sorted(expansion, key=Triple.sort_key)[:cap]
-    rows = list(expansion)
-    scores = _max_scores(rows, embedder, key_matrix)
-    cut = np.partition(scores, len(rows) - cap)[len(rows) - cap]
-    above = np.flatnonzero(scores > cut + RESCORE_TOLERANCE)
-    near = np.flatnonzero(np.abs(scores - cut) <= RESCORE_TOLERANCE)
-    ties = sorted((rows[i] for i in near), key=Triple.sort_key)
-    return [rows[i] for i in above] + ties[: cap - len(above)]
+        return np.sort(expansion)[:cap]
+    scores = _row_scores(g, expansion, embedder, key_matrix)
+    cut = np.partition(scores, len(expansion) - cap)[len(expansion) - cap]
+    above = expansion[scores > cut + RESCORE_TOLERANCE]
+    near = np.sort(expansion[np.abs(scores - cut) <= RESCORE_TOLERANCE])
+    return np.concatenate((above, near[: cap - len(above)]))
 
 
 def gather_candidates(
@@ -112,45 +162,55 @@ def gather_candidates(
     keys: KeySet,
     embedder: Embedder,
     cfg: PipelineConfig,
-) -> set[Triple]:
+    key_matrix: Optional[KeyMatrix] = None,
+) -> CandidateRows:
     """Union of neighborhood expansions over every resolvable key mention.
 
     Per-entity expansion is truncated at the hub cap, preferring the
     highest-scoring triples against the key set (see ``_hub_cap``).
+    ``key_matrix`` is ``embed_keys(keys, embedder)``, embedded here if not given.
     """
-    _, key_matrix = _embed_keys(keys, embedder)
-    candidates: set[Triple] = set()
+    if key_matrix is None:
+        key_matrix = embed_keys(keys, embedder)
+    chosen = [np.empty(0, dtype=np.int32)]
     for mention in keys.mentions():
         entity = g.resolve_entity(mention, embedder, cfg.resolve_threshold)
         if entity is None:
             continue
-        expansion = g.neighbors(entity, cfg.hops)
+        expansion = np.asarray(g.neighbors(entity, cfg.hops))
         if len(expansion) > cfg.hub_cap:
-            candidates.update(_hub_cap(expansion, embedder, key_matrix, cfg.hub_cap))
-        else:
-            candidates.update(expansion)
-    return candidates
+            expansion = _hub_cap(g, expansion, embedder, key_matrix.matrix, cfg.hub_cap)
+        chosen.append(expansion)
+    return CandidateRows(g, np.unique(np.concatenate(chosen)))
 
 
 def filter_by_similarity(
-    candidates: set[Triple],
+    candidates: "CandidateRows | Iterable[Triple]",
     keys: KeySet,
     embedder: Embedder,
     cfg: PipelineConfig,
+    key_matrix: Optional[KeyMatrix] = None,
 ) -> RetrievedTripleSet:
     """Keep candidates whose max similarity over keys strictly exceeds epsilon.
 
     Only candidates whose vectorised score lies above epsilon less
-    ``RESCORE_TOLERANCE`` are scored exactly by ``_best_key``.
+    ``RESCORE_TOLERANCE`` are scored exactly by ``_best_key``. Triples given
+    other than as ``CandidateRows`` are first loaded into a graph of their own.
     """
-    scoring_keys, key_matrix = _embed_keys(keys, embedder)
+    if not isinstance(candidates, CandidateRows):
+        graph = KnowledgeGraph(candidates)
+        candidates = CandidateRows(graph, np.arange(graph.triple_count))
+    if key_matrix is None:
+        key_matrix = embed_keys(keys, embedder)
+    scoring_keys, matrix = key_matrix
+    g, rows = candidates.graph, candidates.rows
     kept: list[ScoredTriple] = []
     if scoring_keys:
-        rows = list(candidates)
-        scores = _max_scores(rows, embedder, key_matrix)
-        for i in np.flatnonzero(scores > cfg.epsilon - RESCORE_TOLERANCE):
-            best_key, best = _best_key(rows[i], embedder, scoring_keys, key_matrix)
+        scores = _row_scores(g, rows, embedder, matrix)
+        for row in rows[scores > cfg.epsilon - RESCORE_TOLERANCE]:
+            triple = g.triple(row)
+            best_key, best = _best_key(triple, embedder, scoring_keys, matrix)
             if best > cfg.epsilon:
-                kept.append(ScoredTriple(triple=rows[i], best_key=best_key, score=best))
+                kept.append(ScoredTriple(triple=triple, best_key=best_key, score=best))
     kept.sort(key=lambda s: (-s.score, s.triple.sort_key()))
     return RetrievedTripleSet(kept=tuple(kept), candidate_count=len(candidates))

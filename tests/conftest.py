@@ -58,6 +58,11 @@ class SignedEmbedder:
         return (-1.0) ** len(text) * self._unit.embed(text)
 
 
+def expand(graph, entity, hops):
+    """``neighbors`` as the set of triples at the returned rows."""
+    return {graph.triple(row) for row in graph.neighbors(entity, hops)}
+
+
 def make_embedder(kind, dimension):
     """A hashed, a caching or a signed embedder of ``dimension``."""
     if kind == "hashed":

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,3 +135,41 @@ def test_check_unit_rows_rejects_other_norms(scale):
     matrix[1] *= scale
     with pytest.raises(ValueError, match=r"embedder contract: .* in row 1"):
         check_unit_rows(matrix)
+
+
+def reference_counts(text, dimension):
+    """md5 of each lowercased ``\\w+`` token, modulo the dimension, counted."""
+    vec = np.zeros(dimension)
+    for token in re.findall(r"\w+", text.lower()):
+        vec[int(hashlib.md5(token.encode("utf-8")).hexdigest(), 16) % dimension] += 1.0
+    return vec
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(st.text(), min_size=1, max_size=5), dimension=st.integers(1, 64))
+def test_hashed_vectors_match_md5_reference(texts, dimension):
+    # Memoised buckets change no bit: embed is the normalised counts.
+    hashed = HashedEmbedder(dimension)
+    cached = CachingEmbedder(HashedEmbedder(dimension))
+    for text in texts:
+        counts = reference_counts(text, dimension)
+        assert hashed.counts(text).tobytes() == counts.tobytes()
+        assert cached.counts(text).tobytes() == counts.tobytes()
+        norm = np.linalg.norm(counts)
+        unit = counts / norm if norm > 0 else counts
+        assert hashed.embed(text).tobytes() == unit.tobytes()
+        assert cached.embed(text).tobytes() == unit.tobytes()
+
+
+def test_caching_embedder_forwards_counts_uncached():
+    cached = CachingEmbedder(HashedEmbedder(8))
+    assert np.array_equal(cached.counts("alpha alpha beta"), HashedEmbedder(8).counts("alpha alpha beta"))
+    assert len(cached._cache) == 0
+
+    class EmbedOnly:
+        dimension = 3
+
+        def embed(self, text):
+            return np.array([1.0, 0.0, 0.0])
+
+    assert not hasattr(CachingEmbedder(EmbedOnly()), "counts")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import io
 import random
 import sys
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ScaledEmbedder, make_embedder
+from conftest import ScaledEmbedder, expand, make_embedder
 from kgqa.embedding import CachingEmbedder, HashedEmbedder, cosine_sim
 from kgqa.kg_store import (
     EntityId,
@@ -126,20 +127,19 @@ def test_resolve_entity_empty_mention_rejected(fixture_graph):
 
 
 def test_neighbors_one_hop_hub(fixture_graph):
-    triples = fixture_graph.neighbors("alex ferguson", hops=1)
-    assert triples == set(fixture_graph.triples)
+    assert expand(fixture_graph, "alex ferguson", 1) == set(fixture_graph.triples)
 
 
 def test_neighbors_unknown_entity(fixture_graph):
-    assert fixture_graph.neighbors("nobody", hops=1) == set()
+    assert len(fixture_graph.neighbors("nobody", hops=1)) == 0
 
 
 def test_neighbors_two_hops_from_leaf(fixture_graph):
-    assert fixture_graph.neighbors("david beckham", hops=2) == set(fixture_graph.triples)
+    assert expand(fixture_graph, "david beckham", 2) == set(fixture_graph.triples)
 
 
 def test_neighbors_one_hop_from_leaf(fixture_graph):
-    triples = fixture_graph.neighbors("david beckham", hops=1)
+    triples = expand(fixture_graph, "david beckham", 1)
     assert len(triples) == 1
     (t,) = triples
     assert t.relation == "recruited_by"
@@ -160,8 +160,8 @@ _triples = st.lists(
 @given(_triples, _entity, st.integers(min_value=1, max_value=4))
 def test_neighbors_monotone_in_hops(raw, entity, hops):
     g = KnowledgeGraph([Triple.from_surface(*t) for t in raw])
-    smaller = g.neighbors(entity, hops)
-    larger = g.neighbors(entity, hops + 1)
+    smaller = set(g.neighbors(entity, hops).tolist())
+    larger = set(g.neighbors(entity, hops + 1).tolist())
     assert smaller <= larger
 
 
@@ -171,8 +171,111 @@ def test_union_of_one_hop_neighborhoods_covers_graph(raw):
     g = KnowledgeGraph([Triple.from_surface(*t) for t in raw])
     union = set()
     for e in g.entities:
-        union |= g.neighbors(e, 1)
+        union |= expand(g, e, 1)
     assert union == set(g.triples)
+
+
+def reference_neighbors(triples, entity, hops):
+    """The set-based breadth-first expansion the row-id one replaced."""
+    adjacency = {}
+    for t in triples:
+        for end in (t.head.canonical, t.tail.canonical):
+            adjacency.setdefault(end, set()).add(t)
+    seen, frontier, collected = {entity}, [entity], set()
+    for _ in range(hops):
+        next_frontier = []
+        for current in frontier:
+            for t in adjacency.get(current, ()):
+                collected.add(t)
+                for end in (t.head.canonical, t.tail.canonical):
+                    if end not in seen:
+                        seen.add(end)
+                        next_frontier.append(end)
+        frontier = next_frontier
+    return collected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_triples, _entity, st.integers(min_value=1, max_value=4))
+def test_neighbors_match_reference_bfs(raw, entity, hops):
+    g = KnowledgeGraph([Triple.from_surface(*t) for t in raw])
+    rows = g.neighbors(entity, hops)
+    assert rows.tolist() == sorted(set(rows.tolist()))
+    assert {g.triple(row) for row in rows} == reference_neighbors(g.triples, entity, hops)
+
+
+def reference_parse(lines):
+    """The loader's parse before the columnar store: one Triple per line."""
+    triples = []
+    for line_number, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise GraphParseError(line_number, f"expected 3 tab-separated fields, got {len(fields)}")
+        head, relation, tail = (f.strip() for f in fields)
+        if not head or not relation or not tail:
+            raise GraphParseError(line_number, "empty field in triple")
+        triples.append(Triple.from_surface(head, relation, tail))
+    return triples
+
+
+def reference_graph(triples):
+    """The graph before the columnar store: first triple wins, sorted by
+    ``sort_key``; with its entities (first surface seen) and digest."""
+    unique = {}
+    for t in triples:
+        unique.setdefault(t.sort_key(), t)
+    rows = tuple(sorted(unique.values(), key=Triple.sort_key))
+    entities = {}
+    for t in rows:
+        for end in (t.head, t.tail):
+            entities.setdefault(end.canonical, end)
+    h = hashlib.sha256()
+    for t in rows:
+        h.update("\t".join(t.sort_key()).encode("utf-8"))
+        h.update(b"\n")
+    return rows, [entities[c] for c in sorted(entities)], h.hexdigest()
+
+
+def _spelled_entity(e):
+    return (e.canonical, e.surface)
+
+
+def _spelled(t):
+    """Every field of a triple, surfaces included: ``Triple`` equality ignores them."""
+    return (*_spelled_entity(t.head), t.relation, *_spelled_entity(t.tail))
+
+
+# Case, spacing, Greek final sigma, a dotted capital I that lowercases to two
+# code points, and a name with no word tokens.
+_name = st.sampled_from(
+    ["Alpha", "alpha", " ALPHA ", "al pha", "al  Pha", "ΟΔΟΣ", "οδος", "Σ", "σ", "İzmir", "i̇zmir", "!!!", "#x"]
+)
+_line = st.one_of(
+    st.tuples(_name, st.sampled_from(["Rel", "rel", " r e l ", "ΣΑΣ"]), _name).map("\t".join),
+    st.sampled_from(["", "   ", "# comment", "  # note", "a\tb", "a\t \tc", "a\tb\tc\td", "x\ty\tz\r\n"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_line, max_size=25))
+def test_columnar_loader_matches_reference(lines):
+    try:
+        parsed = reference_parse(lines)
+    except GraphParseError as exc:
+        with pytest.raises(GraphParseError) as raised:
+            load_graph(lines)
+        assert raised.value.line_number == exc.line_number
+        assert str(raised.value) == str(exc)
+        return
+    rows, entities, digest = reference_graph(parsed)
+    for g in (load_graph(lines), KnowledgeGraph(parsed)):
+        assert [_spelled(t) for t in g.triples] == [_spelled(t) for t in rows]
+        assert [_spelled_entity(e) for e in g.entities] == [_spelled_entity(e) for e in entities]
+        assert g.entity_count == len(entities)
+        assert g.digest() == digest
 
 
 def reference_resolve(g, mention, embedder, threshold):
@@ -240,43 +343,86 @@ def test_entities_sorted_once(fixture_graph):
     assert fixture_graph.entities is entities
 
 
-class CountingEmbedder(HashedEmbedder):
+class DenseCountingEmbedder:
+    """A hashed embedder without ``counts``, so a graph builds it a dense
+    index; counts its bulk embeds, each slow, so that a concurrent build
+    stays open while other threads arrive."""
+
     def __init__(self):
-        super().__init__()
+        self._inner = HashedEmbedder()
+        self.dimension = self._inner.dimension
+        self.embed = self._inner.embed
         self.bulk_calls = 0
 
     def embed_many(self, texts):
         self.bulk_calls += 1
-        time.sleep(0.05)  # hold the build open while the other thread arrives
-        return super().embed_many(texts)
+        time.sleep(0.05)
+        return self._inner.embed_many(texts)
+
+
+class CountingEmbedder(DenseCountingEmbedder):
+    """With ``counts``, so a graph builds it a count table; counts (slowly)
+    the texts the table asks for."""
+
+    def __init__(self):
+        super().__init__()
+        self.counted = 0
+
+    def counts(self, text):
+        self.counted += 1
+        time.sleep(0.01)
+        return self._inner.counts(text)
 
 
 def test_entity_index_per_embedder(fixture_graph):
+    # With ``counts`` the index is a count table holding each entity once.
     first, second = CountingEmbedder(), CountingEmbedder()
     for embedder in (first, second, first):
         assert fixture_graph.resolve_entity("Alex Ferguson OBE", embedder, 0.5).canonical == "alex ferguson"
-    assert (first.bulk_calls, second.bulk_calls) == (1, 1)
-    assert len(fixture_graph._indexes) == 2
+    assert (first.counted, second.counted) == (fixture_graph.entity_count,) * 2
+    assert (first.bulk_calls, second.bulk_calls) == (0, 0)
+    # Without, it is the dense matrix of one bulk embed.
+    dense = DenseCountingEmbedder()
+    for _ in range(2):
+        assert fixture_graph.resolve_entity("Alex Ferguson OBE", dense, 0.5).canonical == "alex ferguson"
+    assert dense.bulk_calls == 1
+    assert len(fixture_graph._indexes) == 3
 
 
 def test_entity_index_not_built_for_exact_mentions(fixture_graph):
-    embedder = CountingEmbedder()
-    fixture_graph.resolve_entity("david beckham", embedder, 0.7)
-    assert embedder.bulk_calls == 0
+    for embedder in (CountingEmbedder(), DenseCountingEmbedder()):
+        fixture_graph.resolve_entity("david beckham", embedder, 0.7)
+        assert embedder.bulk_calls == 0
+        assert getattr(embedder, "counted", 0) == 0
     assert len(fixture_graph._indexes) == 0
 
 
 def test_entity_index_freed_with_its_embedder(fixture_graph):
-    embedder = CachingEmbedder(HashedEmbedder())
-    fixture_graph.resolve_entity("Alex Ferguson OBE", embedder, 0.5)
-    assert len(fixture_graph._indexes) == 1
-    del embedder
-    gc.collect()
-    assert len(fixture_graph._indexes) == 0
+    # Fuzzy resolves and row scoring share one count table per embedder; a
+    # bare HashedEmbedder is a key too, so the table must not refer to it.
+    for make in (lambda: CachingEmbedder(HashedEmbedder()), HashedEmbedder):
+        embedder = make()
+        fixture_graph.resolve_entity("Alex Ferguson OBE", embedder, 0.5)
+        table = fixture_graph.count_table(embedder)
+        rows = fixture_graph.neighbors("alex ferguson", 1)
+        assert table.inverse_norms(rows, embedder.counts).shape == rows.shape
+        assert len(fixture_graph._indexes) == 1
+        del embedder, table
+        gc.collect()
+        assert len(fixture_graph._indexes) == 0
 
 
 def test_entity_index_built_once_under_concurrent_resolves(fixture_graph):
-    inner = CountingEmbedder()
+    for inner in (CountingEmbedder(), DenseCountingEmbedder()):
+        _resolve_concurrently(fixture_graph, inner)
+        # Each entity counted once, or one bulk embed.
+        if isinstance(inner, CountingEmbedder):
+            assert (inner.counted, inner.bulk_calls) == (fixture_graph.entity_count, 0)
+        else:
+            assert inner.bulk_calls == 1
+
+
+def _resolve_concurrently(fixture_graph, inner):
     embedder = CachingEmbedder(inner)
     barrier = threading.Barrier(4)
     results = []
@@ -297,4 +443,3 @@ def test_entity_index_built_once_under_concurrent_resolves(fixture_graph):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert [e.canonical for e in results] == ["alex ferguson"] * 4
-    assert inner.bulk_calls == 1

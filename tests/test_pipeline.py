@@ -184,6 +184,18 @@ class TestRunPipeline:
         assert exc.value.stage == "reasoning"
         assert exc.value.partial_trace is not None
 
+    def test_stage_error_carries_the_warnings_before_it(self, fixture_graph):
+        rules = [
+            dataclasses.replace(r, reply="no triples here") if "extract the subgraphs" in r.patterns else r
+            for r in golden_rules()
+            if "logical verification" not in r.patterns[0]
+        ]
+        backends = Backends.single(ScriptedBackend(rules))
+        with pytest.raises(PipelineStageError) as exc:
+            run_pipeline(BECKHAM_QUESTION, fixture_graph, PipelineConfig(), backends)
+        assert exc.value.stage == "reasoning"
+        assert exc.value.warnings == ["global key extraction produced no parseable triples"]
+
     def test_stage_error_labels_extraction(self, fixture_graph):
         rules = [ScriptRule(patterns=("decompose",), reply="[]")]
         backends = Backends.single(ScriptedBackend(rules))

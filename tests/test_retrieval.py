@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -10,12 +12,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ScaledEmbedder, make_embedder
+from conftest import ScaledEmbedder, expand, make_embedder
 from kgqa.config import PipelineConfig
 from kgqa.embedding import RESCORE_TOLERANCE, CachingEmbedder, HashedEmbedder, cosine_sim
 from kgqa.extraction import EntityKey, KeySet, PairKey, SubgraphKey, TripleKey, build_key_set
 from kgqa.kg_store import KnowledgeGraph, Triple, normalize
 from kgqa.retrieval import (
+    _additive_scores,
+    _max_scores,
+    embed_keys,
     filter_by_similarity,
     gather_candidates,
     serialize_triple,
@@ -153,12 +158,12 @@ class TestGatherCandidates:
     def test_beckham_entity_key_one_hop(self, fixture_graph):
         keys = build_key_set([EntityKey("David Beckham")])
         candidates = gather_candidates(fixture_graph, keys, HashedEmbedder(), PipelineConfig())
-        assert candidates == fixture_graph.neighbors("david beckham", 1)
+        assert candidates.rows.tolist() == fixture_graph.neighbors("david beckham", 1).tolist()
         assert len(candidates) == 1
 
     def test_empty_keyset(self, fixture_graph):
         candidates = gather_candidates(fixture_graph, KeySet(), HashedEmbedder(), PipelineConfig())
-        assert candidates == set()
+        assert candidates.triples() == []
 
     def test_duplicate_resolution_no_duplicates(self, fixture_graph):
         keys = build_key_set([EntityKey("David Beckham"), EntityKey("david  beckham ")])
@@ -168,7 +173,7 @@ class TestGatherCandidates:
     def test_unresolvable_mention_contributes_nothing(self, fixture_graph):
         keys = build_key_set([EntityKey("completely unknown thing")])
         candidates = gather_candidates(fixture_graph, keys, HashedEmbedder(), PipelineConfig())
-        assert candidates == set()
+        assert candidates.triples() == []
 
     def test_hub_cap_truncates_expansion(self):
         hub = [Triple.from_surface("hub", "links", f"spoke {i}") for i in range(20)]
@@ -186,13 +191,13 @@ class TestGatherCandidates:
         keys.scoring_pairs = lambda: []  # type: ignore[method-assign]
         cfg = PipelineConfig(hub_cap=3)
         candidates = gather_candidates(graph, keys, HashedEmbedder(), cfg)
-        assert sorted(t.tail.surface for t in candidates) == ["spoke 00", "spoke 01", "spoke 02"]
+        assert sorted(t.tail.surface for t in candidates.triples()) == ["spoke 00", "spoke 01", "spoke 02"]
 
     def test_two_hop_gather(self, fixture_graph):
         keys = build_key_set([EntityKey("David Beckham")])
         cfg = PipelineConfig(hops=2)
         candidates = gather_candidates(fixture_graph, keys, HashedEmbedder(), cfg)
-        assert candidates == set(fixture_graph.triples)
+        assert set(candidates.triples()) == set(fixture_graph.triples)
 
 
 # The per-triple scan that the blocked scorer replaced, kept as the reference.
@@ -310,9 +315,9 @@ def test_hub_cap_matches_reference_ranking(tails, keys, kind, dimension, cap):
     keys = build_key_set([EntityKey("hub"), *keys.all_keys()])
     # Only the exact mention "hub" resolves, so the hub's expansion is the one capped.
     cfg = PipelineConfig(hub_cap=cap, resolve_threshold=1.0)
-    candidates = gather_candidates(graph, keys, embedder, cfg)
-    rest = set().union(*(graph.neighbors(m, 1) for m in keys.mentions() if normalize(m) != "hub"))
-    ref = reference_hub_cap(graph.neighbors("hub", 1), keys, embedder, cap)
+    candidates = set(gather_candidates(graph, keys, embedder, cfg).triples())
+    rest = set().union(*(expand(graph, m, 1) for m in keys.mentions() if normalize(m) != "hub"))
+    ref = reference_hub_cap(expand(graph, "hub", 1), keys, embedder, cap)
     assume(not ref.on_edge)
     assert candidates == ref.new | rest
     if ref.clear:
@@ -355,19 +360,19 @@ def test_hub_cap_near_ties_break_by_sort_key():
     assert scores == [low, high]
     assert low < high <= low + RESCORE_TOLERANCE
     candidates = gather_candidates(graph, keys, embedder, PipelineConfig(hub_cap=1))
-    assert candidates == {first}
+    assert candidates.triples() == [first]
     assert reference_hub_cap(graph.triples, keys, embedder, 1).old == {second}
 
 
 class ListedGraph(KnowledgeGraph):
-    """Returns each expansion as a list in a given order."""
+    """Returns each expansion's row ids as a list in a given order."""
 
     def __init__(self, triples, rng):
         super().__init__(triples)
         self._rng = rng
 
     def neighbors(self, entity, hops=1):
-        expansion = sorted(super().neighbors(entity, hops))
+        expansion = super().neighbors(entity, hops).tolist()
         self._rng.shuffle(expansion)
         return expansion
 
@@ -385,7 +390,7 @@ def test_hub_cap_independent_of_expansion_order(tails, keys, cap, seed):
     cfg = PipelineConfig(hub_cap=cap, resolve_threshold=1.0)
     triples = [Triple.from_surface("hub", "links", tail) for tail in tails]
     results = [
-        gather_candidates(ListedGraph(triples, random.Random(seed + i)), keys, embedder, cfg)
+        gather_candidates(ListedGraph(triples, random.Random(seed + i)), keys, embedder, cfg).triples()
         for i in range(3)
     ]
     assert results[0] == results[1] == results[2]
@@ -403,35 +408,120 @@ def test_expansion_longer_than_a_block():
     candidates = gather_candidates(graph, keys, embedder, cfg)
     ref = reference_hub_cap(graph.triples, keys, embedder, 700)
     assert not ref.on_edge
-    assert candidates == ref.new
+    assert set(candidates.triples()) == ref.new
     result = filter_by_similarity(set(graph.triples), keys, embedder, cfg)
     expected = reference_filter(graph.triples, keys, embedder, 0.3)
     assert len(expected) > 512
     assert [(s.triple, s.best_key, s.score) for s in result.kept] == expected
 
 
-class CountingEmbedder(HashedEmbedder):
-    def __init__(self):
-        super().__init__()
-        self.calls = 0
+class CountingEmbedder:
+    """A hashed embedder counting its embedded rows and, when it is additive,
+    offering ``counts`` and counting the texts counted."""
+
+    def __init__(self, additive):
+        self._inner = HashedEmbedder()
+        self.dimension = self._inner.dimension
+        self.calls = self.counted = 0
+        if additive:
+            self.counts = self._counts
 
     def embed(self, text):
         self.calls += 1
-        return super().embed(text)
+        return self._inner.embed(text)
 
     def embed_many(self, texts):
         self.calls += len(texts)
-        return super().embed_many(texts)
+        return self._inner.embed_many(texts)
+
+    def _counts(self, text):
+        self.counted += 1
+        return self._inner.counts(text)
 
 
 def test_hub_cap_rows_served_from_cache():
-    inner = CountingEmbedder()
-    embedder = CachingEmbedder(inner)
+    # Without ``counts`` the hub's rows are embedded, then served from the
+    # cache; with it they are scored from the count table, never embedded,
+    # and no text is counted twice.
     graph = hub_graph([f"spoke {i}" for i in range(50)])
     keys = build_key_set([EntityKey("hub"), TripleKey("hub", "links", "spoke 7")])
     cfg = PipelineConfig(hub_cap=10)
-    first = gather_candidates(graph, keys, embedder, cfg)
-    calls = inner.calls
-    assert calls >= 50
-    assert gather_candidates(graph, keys, embedder, cfg) == first
-    assert inner.calls == calls
+    for additive in (False, True):
+        inner = CountingEmbedder(additive)
+        embedder = CachingEmbedder(inner)
+        first = gather_candidates(graph, keys, embedder, cfg)
+        calls, counted = inner.calls, inner.counted
+        if additive:
+            assert calls == len(keys.scoring_pairs())
+            assert counted == 52  # 50 spokes, "hub" and "links"
+        else:
+            assert calls >= 50
+        second = gather_candidates(graph, keys, embedder, cfg)
+        assert second.rows.tolist() == first.rows.tolist()
+        assert (inner.calls, inner.counted) == (calls, counted)
+
+
+# Case, Greek final sigma and a dotted capital I: lowercasing a surface on
+# its own must give the tokens it gives inside the serialised triple.
+_cased_text = st.one_of(_text, st.sampled_from(["Ash ELM", "ΟΔΟΣ", "οδοσ Σ", "İzmir", "ASH!"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    triples=st.lists(st.tuples(_cased_text, _cased_text, _cased_text), min_size=1, max_size=30),
+    keys=_keys,
+    caching=st.booleans(),
+    dimension=st.integers(1, 64),
+    first=st.integers(0, 29),
+)
+def test_additive_scores_match_blocked_scores(triples, keys, caching, dimension, first):
+    embedder = CachingEmbedder(HashedEmbedder(dimension)) if caching else HashedEmbedder(dimension)
+    graph = KnowledgeGraph(Triple.from_surface(*t) for t in triples)
+    _, matrix = embed_keys(keys, embedder)
+    assume(len(matrix))
+    table = graph.count_table(embedder)
+    rows = np.arange(graph.triple_count)
+    # Score a prefix first, so the rest read a table that is partly filled.
+    prefix = rows[: first % graph.triple_count]
+    blocked = _max_scores(list(graph.triples), embedder, matrix)
+    for part in (prefix, rows):
+        additive = _additive_scores(table, part, matrix, embedder.counts)
+        assert np.all(np.abs(additive - blocked[part]) <= RESCORE_TOLERANCE)
+
+
+def test_count_table_filled_concurrently_scores_as_filled_alone():
+    # Threads fill one table's texts and row norms at once; every score must
+    # equal the one a table filled by a single thread gives, bit for bit.
+    words = ["ash", "birch", "cedar", "elm", "fir", "oak", "yew", "pine"]
+    rng = random.Random(5)
+    graph = KnowledgeGraph(
+        Triple.from_surface(" ".join(rng.sample(words, 2)) + f" {i}", rng.choice(words), rng.choice(words))
+        for i in range(600)
+    )
+    keys = build_key_set([EntityKey("ash elm"), TripleKey("oak 3", "fir", "yew")])
+    subsets = [np.sort(rng.sample(range(graph.triple_count), 300)) for _ in range(8)]
+    alone = HashedEmbedder(16)
+    _, matrix = embed_keys(keys, alone)
+    expected = [_additive_scores(graph.count_table(alone), rows, matrix, alone.counts) for rows in subsets]
+    shared = HashedEmbedder(16)
+    table = graph.count_table(shared)
+    barrier = threading.Barrier(len(subsets))
+    results = [None] * len(subsets)
+
+    def score(i):
+        barrier.wait(timeout=10)
+        results[i] = _additive_scores(table, subsets[i], matrix, shared.counts)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=score, args=(i,)) for i in range(len(subsets))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, expected):
+        assert got.tobytes() == want.tobytes()
