@@ -19,6 +19,16 @@ def _build_backends(script_path: Optional[str], cfg: PipelineConfig) -> Backends
     return Backends.single(backend, dimension=cfg.embedding_dim)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     graph = load_graph_file(args.graph)
     print(f"loaded {graph.triple_count} triples, {graph.entity_count} entities")
@@ -98,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--report", help="write per-example records to this path")
     p.add_argument("--script", help="use a scripted backend from this file")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("script-check", help="validate a scripted-backend file")

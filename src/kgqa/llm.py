@@ -6,16 +6,25 @@ exploratory templates (decomposition and key extraction) run at
 ``reasoning_temperature``. Every role sends its prompt through ``ask``.
 The scripted backend records every request it serves, so tests can assert
 on the exact call sequence and temperatures.
+
+Calls whose prompts are all known up front (one mind-map level's
+decompositions, the two key extractions) are sent together by
+``fan_out``, on one shared pool of ``FAN_OUT_THREADS`` threads.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
 import string
+import sys
 import threading
+import time
+import weakref
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Optional, Protocol, runtime_checkable
+from typing import Callable, Iterable, Optional, Protocol, TypeVar, runtime_checkable
 
 import requests
 
@@ -23,6 +32,14 @@ from .config import PipelineConfig
 
 ENV_LLM_URL = "COGGRAG_LLM_URL"
 ENV_LLM_KEY = "COGGRAG_LLM_KEY"
+
+# Threads of the pool ``fan_out`` shares between all questions; with the
+# calling thread, at most this many plus one calls of one fan-out are in
+# flight.
+FAN_OUT_THREADS = 8
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
 
 
 class PromptBindingError(KeyError):
@@ -246,7 +263,116 @@ class ScriptMissError(BackendError):
 
 @runtime_checkable
 class LLMBackend(Protocol):
+    """A backend offers ``generate(request)``, returning the reply text.
+
+    ``generate`` must be thread-safe: ``fan_out`` calls it from several
+    threads at once. A backend may also declare the class attribute
+    ``sequential = True``; ``fan_out`` then makes its calls one at a time,
+    in item order, on the calling thread. That suits a backend that answers
+    in-process, where there is no wait to overlap and the order of calls
+    it records stays the order the pipeline issues them. A backend without
+    it that is seen to answer without releasing the interpreter lock gets
+    the same treatment from then on (see ``fan_out``).
+    """
+
     def generate(self, request: GenerationRequest) -> str: ...
+
+
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+# Backends, by id, seen to hold the interpreter lock for a whole call, as an
+# in-process stub does: handing their calls to threads only adds hand-offs,
+# so their later fan-outs run in item order on the calling thread. The sign
+# is a fan-out whose first call took less than the switch interval while no
+# pool thread started a job: a thread waiting for the lock takes it at the
+# latest after that interval, unless it was busy with other jobs; a backend
+# mistaken for one this way answered within the interval, so little overlap
+# is lost.
+_instant: "weakref.WeakValueDictionary[int, LLMBackend]" = weakref.WeakValueDictionary()
+
+
+def _shared_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(FAN_OUT_THREADS, thread_name_prefix="kgqa-fan-out")
+        return _pool
+
+
+def fan_out(backend: LLMBackend, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
+    """``[fn(item) for item in items]``, with the calls overlapped.
+
+    The first item runs on the calling thread and the rest are handed to
+    the shared pool, unless ``backend`` is ``sequential`` or there is one
+    item. Once its own item is done, the calling thread runs, in item
+    order, every job no pool thread has started yet. If that was every job
+    and the first took less than the switch interval, the backend answers
+    without releasing the interpreter lock, and its later fan-outs run in
+    item order on the calling thread. Returns or raises only after every
+    started job has finished; a failure raises the first failing job's
+    exception in item order, and jobs after it that have not started never
+    run.
+
+    A job must never call ``fan_out`` itself: its inner jobs could wait for
+    pool threads held by outer jobs, and the shared pool would deadlock.
+    """
+    items = list(items)
+    if len(items) < 2 or getattr(backend, "sequential", False) or _instant.get(id(backend)) is backend:
+        return [fn(item) for item in items]
+    pool = _shared_pool()
+    futures: list[Future] = []
+    try:
+        for item in items[1:]:
+            futures.append(pool.submit(fn, item))
+        start = time.perf_counter()
+        results = [fn(items[0])]
+        first_s = time.perf_counter() - start
+        pooled = False
+        for item, future in zip(items[1:], futures):
+            if future.cancel():
+                results.append(fn(item))
+            else:
+                pooled = True
+                results.append(future.result())
+        if not pooled and first_s < sys.getswitchinterval():
+            # A backend that cannot be weakly referenced is not remembered.
+            with contextlib.suppress(TypeError):
+                _instant[id(backend)] = backend
+        return results
+    finally:
+        # A cancelled job counts as done only once a pool thread dequeues it,
+        # so wait for the started jobs alone.
+        wait([future for future in futures if not future.cancel()])
+
+
+def fan_out_warned(
+    backend: LLMBackend,
+    fn: Callable[[_T, list[str]], _R],
+    items: Iterable[_T],
+    warnings: Optional[list[str]],
+) -> list[_R]:
+    """``fan_out`` of ``fn(item, job_warnings)``, each job with a warnings
+    list of its own. They are appended to ``warnings`` in item order, up to
+    and including the first failing job's, whether or not a job fails: what
+    one loop over the items appending to ``warnings`` would leave."""
+    items = list(items)
+    logs: list[list[str]] = [[] for _ in items]
+    finished = [False] * len(items)
+
+    def job(index: int) -> _R:
+        result = fn(items[index], logs[index])
+        finished[index] = True
+        return result
+
+    try:
+        return fan_out(backend, job, range(len(items)))
+    finally:
+        if warnings is not None:
+            for log, done in zip(logs, finished):
+                warnings.extend(log)
+                if not done:
+                    break
 
 
 def ask(backend: LLMBackend, template: PromptTemplate, cfg: PipelineConfig, **bindings: str) -> str:
@@ -285,8 +411,11 @@ class ScriptedBackend:
     """Deterministic backend that replays canned rules, first match wins.
 
     Every request served is appended to ``records`` so tests can audit the
-    full call sequence.
+    full call sequence. It is ``sequential``: replies come in-process, so
+    there is nothing to overlap, and ``records`` keeps the pipeline's order.
     """
+
+    sequential = True
 
     def __init__(self, rules: list[ScriptRule]):
         self.rules = list(rules)
@@ -347,7 +476,12 @@ def load_script(path: str) -> ScriptedBackend:
 
 
 class HTTPBackend:
-    """Chat-completion backend over HTTP with bounded retries."""
+    """Chat-completion backend over HTTP.
+
+    Up to ``max_retries`` attempts are made while the fault may be
+    transient: a timeout, a connection error, a 429 or a 5xx status. Any
+    other 4xx status, or a reply without a completion, fails at once.
+    """
 
     def __init__(
         self,
@@ -357,6 +491,8 @@ class HTTPBackend:
         max_retries: int = 3,
         timeout: float = 120.0,
     ):
+        if max_retries < 1:
+            raise ValueError(f"max_retries must be >= 1, got {max_retries}")
         self.base_url = base_url
         self.api_key = api_key
         self.model = model
@@ -387,10 +523,21 @@ class HTTPBackend:
                     self.base_url, json=payload, headers=headers, timeout=self.timeout
                 )
                 response.raise_for_status()
-                body = response.json()
-                return body["choices"][0]["message"]["content"]
-            except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+            except (requests.Timeout, requests.ConnectionError) as exc:
                 last_error = exc
+                continue
+            except requests.HTTPError as exc:
+                status = exc.response.status_code if exc.response is not None else 0
+                if status == 429 or status >= 500:
+                    last_error = exc
+                    continue
+                raise BackendError(f"HTTP backend request rejected: {exc}") from exc
+            except requests.RequestException as exc:
+                raise BackendError(f"HTTP backend request failed: {exc}") from exc
+            try:
+                return response.json()["choices"][0]["message"]["content"]
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise BackendError(f"HTTP backend reply has no completion: {exc!r}") from exc
         raise BackendError(f"HTTP backend failed after {self.max_retries} attempts: {last_error}")
 
 

@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import ast
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional
 
 from .config import PipelineConfig
 from .kg_store import normalize
-from .llm import DEC_TEMPLATE, LLMBackend, ask
+from .llm import DEC_TEMPLATE, LLMBackend, ask, fan_out_warned
 
 
 class NodeState(Enum):
@@ -161,35 +160,39 @@ def build_mind_map(
 
     Nodes at the depth cap are forced to End. A decomposition that returns a
     single sub-question identical to its parent makes no progress and ends
-    the branch.
+    the branch. The nodes of one level are decomposed together (see
+    ``fan_out``); their children are added in node order, then child order,
+    so ids, node order and warnings do not depend on which reply came first.
     """
     if not question.strip():
         raise ValueError("question must be non-empty")
     root = MindMapNode(id="0", question=question.strip(), depth=0, state=NodeState.END)
     nodes = {root.id: root}
-    queue: deque[MindMapNode] = deque([root])
-    while queue:
-        node = queue.popleft()
-        if node.depth >= cfg.max_depth:
-            node.state = NodeState.END
-            continue
-        subs = decompose_question(node.question, backend, cfg, warnings)
-        if len(subs) == 1 and normalize(subs[0][0]) == normalize(node.question):
-            node.state = NodeState.END
-            continue
-        node.state = NodeState.CONTINUE
-        for index, (sub_question, sub_state) in enumerate(subs):
-            child = MindMapNode(
-                id=f"{node.id}.{index}",
-                question=sub_question,
-                depth=node.depth + 1,
-                state=NodeState.END,
-                parent=node.id,
-            )
-            nodes[child.id] = child
-            node.children.append(child.id)
-            if sub_state is NodeState.CONTINUE and child.depth < cfg.max_depth:
-                queue.append(child)
+
+    def decompose(node: MindMapNode, job_warnings: list[str]) -> list[tuple[str, NodeState]]:
+        return decompose_question(node.question, backend, cfg, job_warnings)
+
+    level = [root] if cfg.max_depth > 0 else []
+    while level:
+        replies = fan_out_warned(backend, decompose, level, warnings)
+        next_level: list[MindMapNode] = []
+        for node, subs in zip(level, replies):
+            if len(subs) == 1 and normalize(subs[0][0]) == normalize(node.question):
+                continue
+            node.state = NodeState.CONTINUE
+            for index, (sub_question, sub_state) in enumerate(subs):
+                child = MindMapNode(
+                    id=f"{node.id}.{index}",
+                    question=sub_question,
+                    depth=node.depth + 1,
+                    state=NodeState.END,
+                    parent=node.id,
+                )
+                nodes[child.id] = child
+                node.children.append(child.id)
+                if sub_state is NodeState.CONTINUE and child.depth < cfg.max_depth:
+                    next_level.append(child)
+        level = next_level
     return MindMap(nodes=nodes, root=root.id)
 
 

@@ -20,7 +20,7 @@ from .extraction import (
     serialize_key,
 )
 from .kg_store import KnowledgeGraph
-from .llm import LLMBackend
+from .llm import LLMBackend, fan_out_warned
 from .mindmap import MindMap, build_mind_map, single_node_map
 from .reasoning import ReasoningAborted, ReasoningTrace, solve
 from .retrieval import RetrievedTripleSet, embed_keys, filter_by_similarity, gather_candidates
@@ -86,10 +86,18 @@ def run_pipeline(
         raise PipelineStageError("decomposition", exc, warnings) from exc
 
     try:
-        keys = extract_local_keys(mind_map, backends.res, cfg, warnings)
+        # Both extractions read only the finished mind map, so they are sent
+        # together; local keys still come first, as do their warnings.
+        extractors = [extract_local_keys]
         if cfg.global_keys_enabled:
-            keys = keys + extract_global_keys(mind_map, backends.res, cfg, warnings)
-        key_set = build_key_set(keys)
+            extractors.append(extract_global_keys)
+        keys = fan_out_warned(
+            backends.res,
+            lambda extract, job_warnings: extract(mind_map, backends.res, cfg, job_warnings),
+            extractors,
+            warnings,
+        )
+        key_set = build_key_set([key for part in keys for key in part])
     except Exception as exc:
         raise PipelineStageError("extraction", exc, warnings) from exc
 

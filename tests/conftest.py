@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import json
+import random
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from kgqa.embedding import CachingEmbedder, HashedEmbedder
 from kgqa.kg_store import KnowledgeGraph, load_graph_file
-from kgqa.llm import ScriptedBackend, parse_script
+from kgqa.llm import ScriptRule, ScriptedBackend, parse_script
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -70,3 +74,55 @@ def make_embedder(kind, dimension):
     if kind == "caching":
         return CachingEmbedder(HashedEmbedder(dimension))
     return SignedEmbedder(dimension)
+
+
+def decomposition_rule(question, subs, state="End."):
+    """A rule answering the decomposition of ``question`` with ``subs``,
+    each in ``state``."""
+    reply = json.dumps([{"Sub-question": sub, "State": state} for sub in subs])
+    return ScriptRule(reply=reply, patterns=("decompose the given question", f"Input: {question}\nOutput:"))
+
+
+def tree_rules(question, branching, leaf_state="End."):
+    """Decomposition rules for a mind map under ``question``: a node at depth
+    k has ``branching[k]`` sub-questions ``"<question> / <index>"``, each
+    Continue above the last level and ``leaf_state`` on it."""
+    rules = []
+    level = [question]
+    for depth, width in enumerate(branching):
+        state = "Continue." if depth + 1 < len(branching) else leaf_state
+        next_level = []
+        for parent in level:
+            subs = [f"{parent} / {index}" for index in range(width)]
+            rules.append(decomposition_rule(parent, subs, state))
+            next_level.extend(subs)
+        level = next_level
+    return rules
+
+
+class BarrierBackend:
+    """Replays ``rules``; a prompt for which ``gate(prompt)`` holds first
+    waits at a two-party barrier, so two such calls finish only if they are
+    in flight together. Not ``sequential``: ``fan_out`` overlaps its calls."""
+
+    def __init__(self, rules, gate):
+        self.inner = ScriptedBackend(rules)
+        self.gate = gate
+        self.barrier = threading.Barrier(2, timeout=5)
+
+    def generate(self, request):
+        if self.gate(request.prompt):
+            self.barrier.wait()
+        return self.inner.generate(request)
+
+
+class JitteredBackend:
+    """Replays ``rules`` after a sleep of 0-3 ms seeded by the prompt, so
+    overlapped calls finish in an order of their own. Not ``sequential``."""
+
+    def __init__(self, rules):
+        self.inner = ScriptedBackend(rules)
+
+    def generate(self, request):
+        time.sleep(random.Random(request.prompt).uniform(0.0, 0.003))
+        return self.inner.generate(request)

@@ -202,3 +202,10 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["ingest", "--bogus"])
         assert exc.value.code != 0
+
+    @pytest.mark.parametrize("workers", ["-3", "0", "x"])
+    def test_bench_workers_below_one_rejected(self, workers, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--graph", GRAPH, "--dataset", DATASET, "--script", SCRIPT, "--workers", workers])
+        assert exc.value.code != 0
+        assert "--workers" in capsys.readouterr().err

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
+
 import pytest
+import requests
 
 from kgqa.config import PipelineConfig
 from kgqa.extraction import extract_global_keys, extract_local_keys
@@ -12,7 +15,9 @@ from kgqa.llm import (
     RETHINK_TEMPLATE,
     TEMPLATES,
     VER_TEMPLATE,
+    BackendError,
     GenerationRequest,
+    HTTPBackend,
     PromptBindingError,
     ScriptMissError,
     ScriptRule,
@@ -208,3 +213,79 @@ def test_ask_unbound_slot_sends_nothing():
     with pytest.raises(PromptBindingError, match="knowledge"):
         ask(backend, RES_TEMPLATE, POLICY_CFG, reasoning="R", question="Q")
     assert backend.records == []
+
+
+def _response(status, body):
+    response = requests.Response()
+    response.status_code = status
+    response._content = json.dumps(body).encode()
+    response.url = "http://llm.invalid/v1/chat"
+    return response
+
+
+COMPLETION = {"choices": [{"message": {"content": "[ok]"}}]}
+
+
+def _patched_post(monkeypatch, outcomes):
+    """``requests.post`` answering each call with the next of ``outcomes``
+    (a response, or an exception to raise); returns the list of calls."""
+    calls = []
+
+    def post(url, **kwargs):
+        calls.append(url)
+        outcome = outcomes[len(calls) - 1]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(requests, "post", post)
+    return calls
+
+
+HTTP_REQUEST = GenerationRequest("Q?", 0.0, 16)
+
+
+@pytest.mark.parametrize(
+    "transient",
+    [
+        requests.Timeout("read timed out"),
+        requests.ConnectionError("refused"),
+        _response(429, {}),
+        _response(503, {}),
+    ],
+    ids=["timeout", "connection", "429", "503"],
+)
+def test_http_retries_transient_faults(monkeypatch, transient):
+    calls = _patched_post(monkeypatch, [transient, transient, _response(200, COMPLETION)])
+    assert HTTPBackend("http://llm.invalid/v1/chat").generate(HTTP_REQUEST) == "[ok]"
+    assert len(calls) == 3
+
+
+def test_http_gives_up_after_max_retries(monkeypatch):
+    calls = _patched_post(monkeypatch, [_response(500, {})] * 2)
+    with pytest.raises(BackendError, match="failed after 2 attempts: 500"):
+        HTTPBackend("http://llm.invalid/v1/chat", max_retries=2).generate(HTTP_REQUEST)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("status", [400, 401, 404])
+def test_http_fails_fast_on_other_4xx(monkeypatch, status):
+    calls = _patched_post(monkeypatch, [_response(status, {})] * 3)
+    with pytest.raises(BackendError, match=str(status)):
+        HTTPBackend("http://llm.invalid/v1/chat").generate(HTTP_REQUEST)
+    assert len(calls) == 1
+
+
+def test_http_fails_fast_on_a_reply_without_completion(monkeypatch):
+    calls = _patched_post(monkeypatch, [_response(200, {"choices": []})] * 3)
+    with pytest.raises(BackendError, match="no completion"):
+        HTTPBackend("http://llm.invalid/v1/chat").generate(HTTP_REQUEST)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("max_retries", [0, -1])
+def test_http_rejects_max_retries_below_one(monkeypatch, max_retries):
+    calls = _patched_post(monkeypatch, [])
+    with pytest.raises(ValueError, match="max_retries"):
+        HTTPBackend("http://llm.invalid/v1/chat", max_retries=max_retries)
+    assert calls == []
