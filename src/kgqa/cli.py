@@ -11,7 +11,7 @@ from .config import PipelineConfig, load_config
 from .evaluation import load_dataset, run_benchmark
 from .kg_store import GraphParseError, load_graph_file
 from .llm import BackendError, HTTPBackend, load_script
-from .pipeline import Backends, run_pipeline, write_trace
+from .pipeline import Backends, PipelineStageError, run_pipeline, write_trace
 
 
 def _build_backends(script_path: Optional[str], cfg: PipelineConfig) -> Backends:
@@ -123,7 +123,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphParseError, BackendError, ValueError, OSError) as exc:
+    except (GraphParseError, BackendError, PipelineStageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

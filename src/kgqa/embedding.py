@@ -8,15 +8,16 @@ that satisfies the same protocol.
 
 An embedder must offer ``embed(text)``, returning a float64 unit vector, or
 the zero vector for a text with no tokens, so that a cosine similarity is a
-dot product. It may also offer ``embed_many(texts)``, an ``(n, dimension)``
-array of the rows ``embed`` returns; ``embed_matrix`` uses it when present
-and stacks ``embed`` results otherwise. Where a reused matrix is built,
-``check_unit_rows`` raises ValueError for a row of any other norm.
+dot product. ``embed_matrix`` stacks ``embed`` results, unless the embedder
+offers ``embed_many(texts)``, as ``CachingEmbedder`` does to bypass its
+cache. Where a reused matrix is built, ``check_unit_rows`` raises ValueError
+for a row of any other norm.
 
 An embedder may also offer ``counts(text)``: the unnormalised vector whose
 normalisation is ``embed(text)``, additive over texts joined by a space, as
-a bag of tokens is. The graph then scores triples and resolves entities from
-per-string counts (see ``kg_store``) instead of embedding every triple.
+a bag of tokens is. The graph's index for such an embedder then scores
+triples and resolves entities from per-string counts instead of embedding
+every triple; for any other it embeds them (see ``kg_store``).
 """
 from __future__ import annotations
 
@@ -110,12 +111,6 @@ class HashedEmbedder:
         if norm > 0:
             vec /= norm
         return vec
-
-    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
-        out = np.empty((len(texts), self.dimension), dtype=np.float64)
-        for row, text in zip(out, texts):
-            row[:] = self.embed(text)
-        return out
 
 
 class CachingEmbedder:

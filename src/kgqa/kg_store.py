@@ -13,9 +13,10 @@ adjacency lists each entity's rows. ``Triple`` and ``EntityId`` objects are
 built only when asked for.
 
 Built later, under a lock, and dropped with its embedder: the per-embedder
-index behind a fuzzy resolve. For an embedder with ``counts`` it is a
-``CountTable``, which also scores triples for retrieval; for any other, the
-dense matrix of the entities' vectors.
+index, which owns all similarity scoring (entities against a mention for
+a fuzzy resolve, rows against a question's keys for retrieval). For an
+embedder with ``counts`` it is a ``CountTable``, which embeds nothing and
+relies on ``serialize_triple``'s form; for any other, a ``DenseIndex``.
 """
 from __future__ import annotations
 
@@ -100,6 +101,11 @@ class Triple:
         return self.sort_key() < other.sort_key()
 
 
+def serialize_triple(t: Triple) -> str:
+    """The text a triple is embedded as; ``CountTable`` relies on this form."""
+    return f"{t.head.surface} {t.relation} {t.tail.surface}"
+
+
 # A row's fields before interning: head canonical, head surface, relation,
 # tail canonical, tail surface.
 _Fields = tuple[str, str, str, str, str]
@@ -122,6 +128,10 @@ def _ranked(texts: list[str]) -> tuple[list[str], np.ndarray]:
 
 # Texts whose counts ``CountTable`` stacks at a time: 1 MB at 256 dimensions.
 _COUNT_BLOCK = 512
+
+# Triples ``DenseIndex`` embeds and scores per matrix product: 1 MB at 256
+# dimensions however large an expansion is, where a whole one grows with a hub.
+_BLOCK_ROWS = 512
 
 
 def _inverse(norms: np.ndarray) -> np.ndarray:
@@ -194,9 +204,9 @@ class KnowledgeGraph:
         self._adjacent_rows = owners[np.lexsort((owners, ends))]
         self._adjacency_start = np.zeros(self.entity_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(ends, minlength=self.entity_count), out=self._adjacency_start[1:])
-        # Per embedder: a CountTable or a dense entity matrix, built on first
-        # use and dropped with the embedder.
-        self._indexes: weakref.WeakKeyDictionary[Embedder, "CountTable | np.ndarray"]
+        # Per embedder: a CountTable or a DenseIndex, built on first use and
+        # dropped with the embedder.
+        self._indexes: weakref.WeakKeyDictionary[Embedder, "CountTable | DenseIndex"]
         self._indexes = weakref.WeakKeyDictionary()
         self._index_lock = threading.Lock()
 
@@ -251,45 +261,32 @@ class KnowledgeGraph:
             return self._entity(exact)
         if embedder is None or not self._entity_ids:
             return None
-        index = self._index(embedder)
         mention_vec = embedder.embed(canonical)
-        if isinstance(index, CountTable):
-            scores = index.entity_scores(mention_vec, embedder.counts)
-        else:
-            scores = index @ mention_vec
+        scores = self._index(embedder).entity_scores(mention_vec, embedder)
         np.clip(scores, -1.0, 1.0, out=scores)
         floor = max(float(scores.max()), threshold) - RESCORE_TOLERANCE
         best: Optional[int] = None
         best_score = threshold
-        shortlist = np.flatnonzero(scores >= floor)
-        if isinstance(index, CountTable):
-            vectors = [embedder.embed(self._texts[row]) for row in shortlist]
-        else:
-            vectors = index[shortlist]
-        for row, vec in zip(shortlist, vectors):
-            score = cosine_sim(mention_vec, vec)
+        for row in np.flatnonzero(scores >= floor):
+            score = cosine_sim(mention_vec, embedder.embed(self._texts[row]))
             if score > best_score:
                 best = row
                 best_score = score
         return None if best is None else self._entity(best)
 
-    def _index(self, embedder: Embedder) -> "CountTable | np.ndarray":
+    def _index(self, embedder: Embedder) -> "CountTable | DenseIndex":
         with self._index_lock:
             index = self._indexes.get(embedder)
             if index is None:
-                if getattr(embedder, "counts", None) is not None:
-                    index = CountTable(self, embedder.dimension)
-                else:
-                    entities = self._texts[: self.entity_count]
-                    index = check_unit_rows(embed_matrix(embedder, entities))
-                self._indexes[embedder] = index
+                kind = CountTable if getattr(embedder, "counts", None) is not None else DenseIndex
+                index = self._indexes[embedder] = kind(self, embedder.dimension)
         return index
 
-    def count_table(self, embedder: Embedder) -> "Optional[CountTable]":
-        """The graph's count table for ``embedder``; None if it offers no ``counts``."""
-        if getattr(embedder, "counts", None) is None:
-            return None
-        return self._index(embedder)
+    def row_scores(self, rows: np.ndarray, embedder: Embedder, key_matrix: np.ndarray) -> np.ndarray:
+        """Each row's best cosine similarity over the rows of a non-empty,
+        checked ``key_matrix``, clipped; within a few ulps of ``cosine_sim``
+        of the serialised triple's vector, as its sums run in another order."""
+        return self._index(embedder).row_scores(self, rows, key_matrix, embedder)
 
     def neighbors(self, entity: "EntityId | str", hops: int = 1) -> np.ndarray:
         """The sorted ids of every row reachable by breadth-first expansion
@@ -337,11 +334,11 @@ class CountTable:
     is needed; the entities' segments are filled together on the first fuzzy
     resolve. As ``counts`` is additive over texts joined by a space, a
     triple's vector is the sum of its head surface's, relation's and tail
-    surface's, so its dot product with a key is the sum of theirs, scaled by
-    the triple's inverse norm; that norm is computed the first time its row
-    is scored and then kept. The table holds no reference to the embedder,
-    so the graph's weak map can drop it with the embedder: each method that
-    may fill segments takes the embedder's ``counts``.
+    surface's (see ``serialize_triple``), so its dot product with a key is
+    the sum of theirs, scaled by the triple's inverse norm; that norm is
+    computed the first time its row is scored and then kept. The table holds
+    no reference to the embedder, so the graph's weak map can drop it with
+    the embedder: each method takes the embedder and reads its ``counts``.
     """
 
     def __init__(self, graph: KnowledgeGraph, dimension: int):
@@ -355,7 +352,6 @@ class CountTable:
         self._lock = threading.Lock()
         self._entities = graph.entity_count
         self._entity_block: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
-        self._heads, self._relations, self._tails = graph._head_surface, graph._relation, graph._tail_surface
         self._row_inverse_norms = np.full(graph.triple_count, np.nan)
 
     def _fill(self, texts: np.ndarray, counts: Callable[[str], np.ndarray]) -> None:
@@ -384,11 +380,11 @@ class CountTable:
                 self._stop[ids] = stops
                 self._size = end
 
-    def entity_scores(self, vec: np.ndarray, counts: Callable[[str], np.ndarray]) -> np.ndarray:
+    def entity_scores(self, vec: np.ndarray, embedder: Embedder) -> np.ndarray:
         """Each entity's cosine similarity with the unit-or-zero ``vec``, unclipped."""
         if self._entity_block is None:
             entities = np.arange(self._entities)
-            self._fill(entities, counts)
+            self._fill(entities, embedder.counts)
             lengths = self._stop[entities] - self._start[entities]
             at = _ranges(self._start[entities], self._stop[entities])
             owner, buckets, values = np.repeat(entities, lengths), self._buckets[at], self._values[at]
@@ -397,17 +393,24 @@ class CountTable:
         owner, buckets, values, inverse_norms = self._entity_block
         return np.bincount(owner, weights=values * vec[buckets], minlength=self._entities) * inverse_norms
 
-    def row_texts(self, rows: np.ndarray) -> np.ndarray:
-        """The ``(3, len(rows))`` text ids of the rows' head surfaces, relations
-        and tail surfaces."""
-        return np.stack((self._heads[rows], self._relations[rows], self._tails[rows]))
-
-    def dots(
-        self, texts: np.ndarray, key_matrix: np.ndarray, counts: Callable[[str], np.ndarray]
+    def row_scores(
+        self, graph: KnowledgeGraph, rows: np.ndarray, key_matrix: np.ndarray, embedder: Embedder
     ) -> np.ndarray:
-        """The ``(len(texts), len(key_matrix))`` dot products of the texts'
-        counts with the key rows."""
-        self._fill(texts, counts)
+        """See ``KnowledgeGraph.row_scores``. Each distinct text among the
+        rows is dotted with the keys once; a row's dots are the sum of its
+        three texts'."""
+        row_texts = np.stack((graph._head_surface[rows], graph._relation[rows], graph._tail_surface[rows]))
+        texts, where = np.unique(row_texts, return_inverse=True)
+        self._fill(texts, embedder.counts)
+        dots = self._dots(texts, key_matrix)
+        where = where.reshape(row_texts.shape)
+        best = (dots[where[0]] + dots[where[1]] + dots[where[2]]).max(axis=1)
+        best *= self._inverse_norms(rows, row_texts)
+        return np.clip(best, -1.0, 1.0, out=best)
+
+    def _dots(self, texts: np.ndarray, key_matrix: np.ndarray) -> np.ndarray:
+        """The ``(len(texts), len(key_matrix))`` dot products of the filled
+        texts' counts with the key rows."""
         starts, stops = self._start[texts], self._stop[texts]
         at = _ranges(starts, stops)
         terms = self._values[at, None] * np.ascontiguousarray(key_matrix.T)[self._buckets[at]]
@@ -418,14 +421,14 @@ class CountTable:
             out[nonempty] = np.add.reduceat(terms, (np.cumsum(lengths) - lengths)[nonempty], axis=0)
         return out
 
-    def inverse_norms(self, rows: np.ndarray, counts: Callable[[str], np.ndarray]) -> np.ndarray:
-        """1 / the norm of each row's summed counts, 0 for a row with none."""
+    def _inverse_norms(self, rows: np.ndarray, row_texts: np.ndarray) -> np.ndarray:
+        """1 / the norm of each row's summed counts, 0 for a row with none;
+        ``row_texts`` are the rows' ``(3, len(rows))`` filled text ids."""
         inverse = self._row_inverse_norms[rows]
         todo = np.isnan(inverse)
         if todo.any():
             fresh = rows[todo]
-            texts = self.row_texts(fresh).ravel()
-            self._fill(texts, counts)
+            texts = row_texts[:, todo].ravel()
             starts, stops = self._start[texts], self._stop[texts]
             at = _ranges(starts, stops)
             owner = np.repeat(np.tile(np.arange(len(fresh)), 3), stops - starts)
@@ -435,6 +438,46 @@ class CountTable:
             # Concurrent questions may both fill a row; they write the same value.
             inverse[todo] = self._row_inverse_norms[fresh] = _inverse(np.sqrt(squares))
         return inverse
+
+
+class DenseIndex:
+    """Scores from the vectors of an embedder without ``counts``.
+
+    The entities' vectors are stacked by ``embed_matrix``, checked and kept
+    the first time an entity is scored. Triples go through ``embed`` each
+    time they are scored, so a caching embedder serves them from its cache.
+    Like ``CountTable``, the index holds no reference to the embedder.
+    """
+
+    def __init__(self, graph: KnowledgeGraph, dimension: int):
+        self._texts = graph._texts
+        self._entities = graph.entity_count
+        self._dimension = dimension
+        self._entity_matrix: Optional[np.ndarray] = None
+        self._lock = threading.Lock()
+
+    def entity_scores(self, vec: np.ndarray, embedder: Embedder) -> np.ndarray:
+        """Each entity's cosine similarity with the unit-or-zero ``vec``, unclipped."""
+        with self._lock:
+            if self._entity_matrix is None:
+                entities = self._texts[: self._entities]
+                self._entity_matrix = check_unit_rows(embed_matrix(embedder, entities))
+        return self._entity_matrix @ vec
+
+    def row_scores(
+        self, graph: KnowledgeGraph, rows: np.ndarray, key_matrix: np.ndarray, embedder: Embedder
+    ) -> np.ndarray:
+        """See ``KnowledgeGraph.row_scores``. ``_BLOCK_ROWS`` triples are
+        embedded and scored per matrix product."""
+        scores = np.empty(len(rows))
+        block = np.empty((min(len(rows), _BLOCK_ROWS), self._dimension))
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            vectors = block[: min(_BLOCK_ROWS, len(rows) - start)]
+            for vec, row in zip(vectors, rows[start : start + len(vectors)]):
+                vec[:] = embedder.embed(serialize_triple(graph.triple(row)))
+            best = (vectors @ key_matrix.T).max(axis=1)
+            np.clip(best, -1.0, 1.0, out=scores[start : start + len(vectors)])
+        return scores
 
 
 class _Normalized(dict):

@@ -535,9 +535,12 @@ class HTTPBackend:
             except requests.RequestException as exc:
                 raise BackendError(f"HTTP backend request failed: {exc}") from exc
             try:
-                return response.json()["choices"][0]["message"]["content"]
+                content = response.json()["choices"][0]["message"]["content"]
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise BackendError(f"HTTP backend reply has no completion: {exc!r}") from exc
+            if not isinstance(content, str):
+                raise BackendError(f"HTTP backend reply has no completion: content is {content!r}")
+            return content
         raise BackendError(f"HTTP backend failed after {self.max_retries} attempts: {last_error}")
 
 

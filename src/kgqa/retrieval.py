@@ -4,35 +4,26 @@ A triple survives when its best cosine similarity against any key text
 strictly exceeds epsilon. The kept set is canonically sorted so results do
 not depend on candidate iteration order.
 
-Candidates travel as graph row ids. They are scored against all keys at
-once: for an embedder with ``counts``, from the graph's count table, as
-sums of per-string dot products scaled by each row's inverse norm, so no
-candidate is embedded; for any other, ``_BLOCK_ROWS`` embedded triples per
-matrix product. Those scores rank a hub's expansion for the hub cap and
-pre-screen the epsilon filter; every triple the filter keeps is re-scored
-exactly by ``_best_key``, so kept triples, keys and scores do not depend on
-the order of the vectorised sums.
+This module holds retrieval policy only: embedding a question's keys once,
+the hub cap and the epsilon filter. Candidates travel as graph row ids and
+are scored against all keys at once by ``KnowledgeGraph.row_scores``, which
+leaves the scoring to the graph's index for the embedder (see ``kg_store``).
+Those scores rank a hub's expansion for the hub cap and pre-screen the
+epsilon filter; every triple the filter keeps is re-scored exactly by
+``_best_key``, so kept triples, keys and scores do not depend on the order
+of the vectorised sums.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .config import PipelineConfig
 from .embedding import RESCORE_TOLERANCE, Embedder, check_unit_rows, cosine_sim
 from .extraction import Key, KeySet
-from .kg_store import CountTable, KnowledgeGraph, Triple
-
-# Triples embedded and scored per matrix product. The one block buffer costs
-# _BLOCK_ROWS x dimension x 8 bytes (1 MB at 256 dimensions) however large an
-# expansion is, where stacking a whole expansion would grow with the hub.
-_BLOCK_ROWS = 512
-
-
-def serialize_triple(t: Triple) -> str:
-    return f"{t.head.surface} {t.relation} {t.tail.surface}"
+from .kg_store import KnowledgeGraph, Triple, serialize_triple
 
 
 @dataclass(frozen=True)
@@ -90,50 +81,6 @@ def _best_key(
     return scoring_keys[best], scores[best]
 
 
-def _max_scores(triples: list[Triple], embedder: Embedder, key_matrix: np.ndarray) -> np.ndarray:
-    """Each triple's best cosine similarity over the keys, by blocked matrix products.
-
-    A score agrees with ``_best_key``'s to within a few ulps, not bitwise:
-    its sums run in another order. Rows go through ``embed``, so a caching
-    embedder serves them from its cache.
-    """
-    scores = np.empty(len(triples))
-    block = np.empty((min(len(triples), _BLOCK_ROWS), embedder.dimension))
-    for start in range(0, len(triples), _BLOCK_ROWS):
-        rows = block[: min(_BLOCK_ROWS, len(triples) - start)]
-        for row, triple in zip(rows, triples[start : start + len(rows)]):
-            row[:] = embedder.embed(serialize_triple(triple))
-        best = (rows @ key_matrix.T).max(axis=1)
-        np.clip(best, -1.0, 1.0, out=scores[start : start + len(rows)])
-    return scores
-
-
-def _additive_scores(
-    table: CountTable, rows: np.ndarray, key_matrix: np.ndarray, counts: Callable[[str], np.ndarray]
-) -> np.ndarray:
-    """Each row's best cosine similarity over the keys, from the count table.
-
-    Each distinct text among the rows is dotted with the keys once; a row's
-    dots are the sum of its three texts'. Like ``_max_scores``, it agrees
-    with ``_best_key`` to within a few ulps.
-    """
-    texts, where = np.unique(table.row_texts(rows), return_inverse=True)
-    dots = table.dots(texts, key_matrix, counts)
-    where = where.reshape(3, len(rows))
-    best = (dots[where[0]] + dots[where[1]] + dots[where[2]]).max(axis=1)
-    best *= table.inverse_norms(rows, counts)
-    return np.clip(best, -1.0, 1.0, out=best)
-
-
-def _row_scores(
-    g: KnowledgeGraph, rows: np.ndarray, embedder: Embedder, key_matrix: np.ndarray
-) -> np.ndarray:
-    table = g.count_table(embedder)
-    if table is None:
-        return _max_scores([g.triple(row) for row in rows], embedder, key_matrix)
-    return _additive_scores(table, rows, key_matrix, embedder.counts)
-
-
 def _hub_cap(
     g: KnowledgeGraph, expansion: np.ndarray, embedder: Embedder, key_matrix: np.ndarray, cap: int
 ) -> np.ndarray:
@@ -150,7 +97,7 @@ def _hub_cap(
     """
     if len(key_matrix) == 0:
         return np.sort(expansion)[:cap]
-    scores = _row_scores(g, expansion, embedder, key_matrix)
+    scores = g.row_scores(expansion, embedder, key_matrix)
     cut = np.partition(scores, len(expansion) - cap)[len(expansion) - cap]
     above = expansion[scores > cut + RESCORE_TOLERANCE]
     near = np.sort(expansion[np.abs(scores - cut) <= RESCORE_TOLERANCE])
@@ -206,7 +153,7 @@ def filter_by_similarity(
     g, rows = candidates.graph, candidates.rows
     kept: list[ScoredTriple] = []
     if scoring_keys:
-        scores = _row_scores(g, rows, embedder, matrix)
+        scores = g.row_scores(rows, embedder, matrix)
         for row in rows[scores > cfg.epsilon - RESCORE_TOLERANCE]:
             triple = g.triple(row)
             best_key, best = _best_key(triple, embedder, scoring_keys, matrix)

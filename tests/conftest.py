@@ -52,7 +52,8 @@ class ScaledEmbedder:
 
 class SignedEmbedder:
     """Hashed vectors, negated for odd-length texts: unit vectors that can
-    score below zero, and no ``embed_many``."""
+    score below zero, and no ``counts``, so a graph scores them with a
+    ``DenseIndex``."""
 
     def __init__(self, dimension):
         self.dimension = dimension

@@ -93,6 +93,18 @@ class TestAsk:
         assert code == 1
         assert "COGGRAG_LLM_URL" in capsys.readouterr().err
 
+    def test_failed_stage_reports_error(self, tmp_path, capsys):
+        # A script with no rule for local key extraction fails that stage.
+        lines = (FIXTURES / "beckham_script.jsonl").read_text(encoding="utf-8").splitlines()
+        script = tmp_path / "no_ext_local.jsonl"
+        script.write_text("\n".join(l for l in lines if "extract the entities" not in l) + "\n")
+        code = main(["ask", "--graph", GRAPH, "--question", BECKHAM_QUESTION, "--script", str(script)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: stage 'extraction' failed:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_config_file_applies(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
         conf.write_text("decomposition_enabled = false\n")

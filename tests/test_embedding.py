@@ -79,10 +79,10 @@ def test_caching_embedder_matches_inner():
     assert np.array_equal(cached.embed(text), inner.embed(text))
 
 
-def test_hashed_embed_many_rows_equal_embed():
+def test_embed_matrix_rows_equal_hashed_embed():
     e = HashedEmbedder()
     texts = ["alpha beta", "", "!!!", "Alpha alpha gamma", "manchester united"]
-    matrix = e.embed_many(texts)
+    matrix = embed_matrix(e, texts)
     assert matrix.shape == (len(texts), e.dimension)
     for row, text in zip(matrix, texts):
         assert row.tobytes() == e.embed(text).tobytes()
@@ -104,7 +104,7 @@ def test_caching_embed_many_bypasses_cache():
     cached = CachingEmbedder(inner)
     cached.embed("alpha")
     matrix = cached.embed_many(["alpha", "beta", "gamma"])
-    assert np.array_equal(matrix, inner.embed_many(["alpha", "beta", "gamma"]))
+    assert np.array_equal(matrix, embed_matrix(inner, ["alpha", "beta", "gamma"]))
     assert len(cached._cache) == 1
 
 
@@ -114,7 +114,7 @@ def test_embedders_return_unit_or_zero_vectors(texts, dimension):
     hashed = HashedEmbedder(dimension)
     cached = CachingEmbedder(HashedEmbedder(dimension))
     vectors = [hashed.embed(t) for t in texts] + [cached.embed(t) for t in texts]
-    vectors += list(hashed.embed_many(texts))
+    vectors += list(embed_matrix(hashed, texts))
     for vec in vectors:
         assert vec.dtype == np.float64 and vec.shape == (dimension,)
         norm = np.linalg.norm(vec)
@@ -123,7 +123,7 @@ def test_embedders_return_unit_or_zero_vectors(texts, dimension):
 
 def test_check_unit_rows_accepts_unit_and_zero_rows():
     e = HashedEmbedder(16)
-    matrix = e.embed_many(["alpha beta", "", "!!!", "gamma"])
+    matrix = embed_matrix(e, ["alpha beta", "", "!!!", "gamma"])
     matrix[3] *= 1.0 + 0.9 * UNIT_NORM_TOLERANCE
     assert check_unit_rows(matrix) is matrix
     assert check_unit_rows(np.empty((0, 16))).shape == (0, 16)
@@ -131,7 +131,7 @@ def test_check_unit_rows_accepts_unit_and_zero_rows():
 
 @pytest.mark.parametrize("scale", [1.0 + 2 * UNIT_NORM_TOLERANCE, 0.5, 3.0, np.nan])
 def test_check_unit_rows_rejects_other_norms(scale):
-    matrix = HashedEmbedder(16).embed_many(["alpha", "beta gamma", "delta"])
+    matrix = embed_matrix(HashedEmbedder(16), ["alpha", "beta gamma", "delta"])
     matrix[1] *= scale
     with pytest.raises(ValueError, match=r"embedder contract: .* in row 1"):
         check_unit_rows(matrix)

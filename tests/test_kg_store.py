@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ScaledEmbedder, expand, make_embedder
-from kgqa.embedding import CachingEmbedder, HashedEmbedder, cosine_sim
+from kgqa.embedding import CachingEmbedder, HashedEmbedder, cosine_sim, embed_matrix
 from kgqa.kg_store import (
     EntityId,
     GraphParseError,
@@ -357,7 +357,7 @@ class DenseCountingEmbedder:
     def embed_many(self, texts):
         self.bulk_calls += 1
         time.sleep(0.05)
-        return self._inner.embed_many(texts)
+        return embed_matrix(self._inner, texts)
 
 
 class CountingEmbedder(DenseCountingEmbedder):
@@ -398,16 +398,16 @@ def test_entity_index_not_built_for_exact_mentions(fixture_graph):
 
 
 def test_entity_index_freed_with_its_embedder(fixture_graph):
-    # Fuzzy resolves and row scoring share one count table per embedder; a
-    # bare HashedEmbedder is a key too, so the table must not refer to it.
-    for make in (lambda: CachingEmbedder(HashedEmbedder()), HashedEmbedder):
+    # Fuzzy resolves and row scoring share one index per embedder; a bare
+    # HashedEmbedder is a key too, so the index must not refer to it.
+    for make in (lambda: CachingEmbedder(HashedEmbedder()), HashedEmbedder, DenseCountingEmbedder):
         embedder = make()
         fixture_graph.resolve_entity("Alex Ferguson OBE", embedder, 0.5)
-        table = fixture_graph.count_table(embedder)
         rows = fixture_graph.neighbors("alex ferguson", 1)
-        assert table.inverse_norms(rows, embedder.counts).shape == rows.shape
+        keys = embedder.embed("alex ferguson")[None]
+        assert fixture_graph.row_scores(rows, embedder, keys).shape == rows.shape
         assert len(fixture_graph._indexes) == 1
-        del embedder, table
+        del embedder
         gc.collect()
         assert len(fixture_graph._indexes) == 0
 

@@ -283,6 +283,15 @@ def test_http_fails_fast_on_a_reply_without_completion(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("content", [None, 42, ["[ok]"]], ids=["null", "number", "list"])
+def test_http_fails_fast_on_a_completion_that_is_not_text(monkeypatch, content):
+    reply = {"choices": [{"message": {"content": content}}]}
+    calls = _patched_post(monkeypatch, [_response(200, reply)] * 3)
+    with pytest.raises(BackendError, match="no completion"):
+        HTTPBackend("http://llm.invalid/v1/chat").generate(HTTP_REQUEST)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("max_retries", [0, -1])
 def test_http_rejects_max_retries_below_one(monkeypatch, max_retries):
     calls = _patched_post(monkeypatch, [])

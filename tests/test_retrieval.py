@@ -16,15 +16,8 @@ from conftest import ScaledEmbedder, expand, make_embedder
 from kgqa.config import PipelineConfig
 from kgqa.embedding import RESCORE_TOLERANCE, CachingEmbedder, HashedEmbedder, cosine_sim
 from kgqa.extraction import EntityKey, KeySet, PairKey, SubgraphKey, TripleKey, build_key_set
-from kgqa.kg_store import KnowledgeGraph, Triple, normalize
-from kgqa.retrieval import (
-    _additive_scores,
-    _max_scores,
-    embed_keys,
-    filter_by_similarity,
-    gather_candidates,
-    serialize_triple,
-)
+from kgqa.kg_store import DenseIndex, KnowledgeGraph, Triple, normalize
+from kgqa.retrieval import embed_keys, filter_by_similarity, gather_candidates, serialize_triple
 
 
 def eps(epsilon: float) -> PipelineConfig:
@@ -430,10 +423,6 @@ class CountingEmbedder:
         self.calls += 1
         return self._inner.embed(text)
 
-    def embed_many(self, texts):
-        self.calls += len(texts)
-        return self._inner.embed_many(texts)
-
     def _counts(self, text):
         self.counted += 1
         return self._inner.counts(text)
@@ -479,13 +468,12 @@ def test_additive_scores_match_blocked_scores(triples, keys, caching, dimension,
     graph = KnowledgeGraph(Triple.from_surface(*t) for t in triples)
     _, matrix = embed_keys(keys, embedder)
     assume(len(matrix))
-    table = graph.count_table(embedder)
     rows = np.arange(graph.triple_count)
     # Score a prefix first, so the rest read a table that is partly filled.
     prefix = rows[: first % graph.triple_count]
-    blocked = _max_scores(list(graph.triples), embedder, matrix)
+    blocked = DenseIndex(graph, dimension).row_scores(graph, rows, matrix, embedder)
     for part in (prefix, rows):
-        additive = _additive_scores(table, part, matrix, embedder.counts)
+        additive = graph.row_scores(part, embedder, matrix)
         assert np.all(np.abs(additive - blocked[part]) <= RESCORE_TOLERANCE)
 
 
@@ -502,15 +490,14 @@ def test_count_table_filled_concurrently_scores_as_filled_alone():
     subsets = [np.sort(rng.sample(range(graph.triple_count), 300)) for _ in range(8)]
     alone = HashedEmbedder(16)
     _, matrix = embed_keys(keys, alone)
-    expected = [_additive_scores(graph.count_table(alone), rows, matrix, alone.counts) for rows in subsets]
+    expected = [graph.row_scores(rows, alone, matrix) for rows in subsets]
     shared = HashedEmbedder(16)
-    table = graph.count_table(shared)
     barrier = threading.Barrier(len(subsets))
     results = [None] * len(subsets)
 
     def score(i):
         barrier.wait(timeout=10)
-        results[i] = _additive_scores(table, subsets[i], matrix, shared.counts)
+        results[i] = graph.row_scores(subsets[i], shared, matrix)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
