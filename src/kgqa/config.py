@@ -114,5 +114,8 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         if env_value is not None:
             values[name] = _coerce(name, kind, env_value)
     if overrides:
+        for key in overrides:
+            if key not in _KINDS:
+                raise ValueError(f"overrides: unknown config key '{key}'")
         values.update({k: v for k, v in overrides.items() if v is not None})
     return PipelineConfig(**values)

@@ -13,11 +13,14 @@ offers ``embed_many(texts)``, as ``CachingEmbedder`` does to bypass its
 cache. Where a reused matrix is built, ``check_unit_rows`` raises ValueError
 for a row of any other norm.
 
-An embedder may also offer ``counts(text)``: the unnormalised vector whose
-normalisation is ``embed(text)``, additive over texts joined by a space, as
-a bag of tokens is. The graph's index for such an embedder then scores
-triples and resolves entities from per-string counts instead of embedding
-every triple; for any other it embeds them (see ``kg_store``).
+An embedder may also offer ``sparse_counts(texts)``: the nonzero entries of
+each text's unnormalised vector, whose normalisation is ``embed(text)``, as
+three parallel arrays ``(text_index, bucket, count)`` sorted by text index,
+then bucket. The vectors must be additive over texts joined by a space, as
+a bag of tokens is. The graph's index for such an embedder counts many
+texts in one call and scores triples and resolves entities from those
+counts instead of embedding every triple; for any other it embeds them
+(see ``kg_store``).
 """
 from __future__ import annotations
 
@@ -25,6 +28,8 @@ import functools
 import hashlib
 import re
 import threading
+from array import array
+from itertools import repeat
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -83,7 +88,7 @@ def embed_matrix(embedder: Embedder, texts: Sequence[str]) -> np.ndarray:
     return out
 
 
-# Bounded: a 100k-triple graph has about 47k distinct tokens.
+# Bounded: each 100k-triple benchmark graph has about 50k distinct tokens.
 @functools.lru_cache(maxsize=1 << 16)
 def _bucket(token: str, dimension: int) -> int:
     digest = hashlib.md5(token.encode("utf-8")).hexdigest()
@@ -98,15 +103,22 @@ class HashedEmbedder:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
 
-    def counts(self, text: str) -> np.ndarray:
-        """The token counts of ``text``, one bucket per token."""
+    def sparse_counts(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero token counts of ``texts``, one bucket per token, as
+        ``(text_index, bucket, count)`` sorted by text index, then bucket."""
+        dimension = self.dimension
+        lengths, buckets = array("q"), array("q")
+        for tokens in map(_TOKEN_RE.findall, map(str.lower, texts)):
+            lengths.append(len(tokens))
+            buckets.extend(map(_bucket, tokens, repeat(dimension)))
+        owner = np.repeat(np.arange(len(lengths), dtype=np.int64), np.asarray(lengths))
+        cells, counts = np.unique(owner * dimension + np.asarray(buckets), return_counts=True)
+        return cells // dimension, cells % dimension, counts
+
+    def embed(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dimension, dtype=np.float64)
         for token in _TOKEN_RE.findall(text.lower()):
             vec[_bucket(token, self.dimension)] += 1.0
-        return vec
-
-    def embed(self, text: str) -> np.ndarray:
-        vec = self.counts(text)
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec /= norm
@@ -122,9 +134,9 @@ class CachingEmbedder:
         self._cache: dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
         # Counts feed tables the graph keeps per embedder, so they pass uncached.
-        counts = getattr(inner, "counts", None)
-        if counts is not None:
-            self.counts = counts
+        sparse_counts = getattr(inner, "sparse_counts", None)
+        if sparse_counts is not None:
+            self.sparse_counts = sparse_counts
 
     def embed(self, text: str) -> np.ndarray:
         with self._lock:

@@ -15,8 +15,8 @@ built only when asked for.
 Built later, under a lock, and dropped with its embedder: the per-embedder
 index, which owns all similarity scoring (entities against a mention for
 a fuzzy resolve, rows against a question's keys for retrieval). For an
-embedder with ``counts`` it is a ``CountTable``, which embeds nothing and
-relies on ``serialize_triple``'s form; for any other, a ``DenseIndex``.
+embedder with ``sparse_counts`` it is a ``CountTable``, which embeds nothing
+and relies on ``serialize_triple``'s form; for any other, a ``DenseIndex``.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ import weakref
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -125,9 +125,6 @@ def _ranked(texts: list[str]) -> tuple[list[str], np.ndarray]:
     rank[order] = np.arange(len(texts), dtype=np.int32)
     return [texts[i] for i in order], rank
 
-
-# Texts whose counts ``CountTable`` stacks at a time: 1 MB at 256 dimensions.
-_COUNT_BLOCK = 512
 
 # Triples ``DenseIndex`` embeds and scores per matrix product: 1 MB at 256
 # dimensions however large an expansion is, where a whole one grows with a hub.
@@ -278,7 +275,7 @@ class KnowledgeGraph:
         with self._index_lock:
             index = self._indexes.get(embedder)
             if index is None:
-                kind = CountTable if getattr(embedder, "counts", None) is not None else DenseIndex
+                kind = CountTable if getattr(embedder, "sparse_counts", None) is not None else DenseIndex
                 index = self._indexes[embedder] = kind(self, embedder.dimension)
         return index
 
@@ -327,18 +324,21 @@ class KnowledgeGraph:
 
 
 class CountTable:
-    """Sparse token counts of a graph's texts under one embedder's ``counts``.
+    """Sparse token counts of a graph's texts under one embedder's
+    ``sparse_counts``.
 
     Each of the graph's distinct texts (canonicals, surfaces, relations) owns
     a segment of ``(bucket, count)`` pairs, filled the first time the text
-    is needed; the entities' segments are filled together on the first fuzzy
-    resolve. As ``counts`` is additive over texts joined by a space, a
-    triple's vector is the sum of its head surface's, relation's and tail
-    surface's (see ``serialize_triple``), so its dot product with a key is
-    the sum of theirs, scaled by the triple's inverse norm; that norm is
-    computed the first time its row is scored and then kept. The table holds
-    no reference to the embedder, so the graph's weak map can drop it with
-    the embedder: each method takes the embedder and reads its ``counts``.
+    is needed: the texts a call lacks are counted in one ``sparse_counts``
+    call, whose sorted arrays are the segments as they are stored. The
+    entities' segments are filled together on the first fuzzy resolve. As
+    the counts are additive over texts joined by a space, a triple's vector
+    is the sum of its head surface's, relation's and tail surface's (see
+    ``serialize_triple``), so its dot product with a key is the sum of
+    theirs, scaled by the triple's inverse norm; that norm is computed the
+    first time its row is scored and then kept. The table holds no reference
+    to the embedder, so the graph's weak map can drop it with the embedder:
+    each method takes the embedder and reads its ``sparse_counts``.
     """
 
     def __init__(self, graph: KnowledgeGraph, dimension: int):
@@ -354,37 +354,38 @@ class CountTable:
         self._entity_block: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
         self._row_inverse_norms = np.full(graph.triple_count, np.nan)
 
-    def _fill(self, texts: np.ndarray, counts: Callable[[str], np.ndarray]) -> None:
-        """Give every text id in ``texts`` its segment."""
+    def _fill(
+        self, texts: np.ndarray, sparse_counts: Callable[[Sequence[str]], tuple[np.ndarray, ...]]
+    ) -> None:
+        """Give every text id in ``texts`` its segment, from one
+        ``sparse_counts`` call for those it lacks."""
         if (self._stop[texts] >= 0).all():
             return
         with self._lock:
             missing = np.unique(texts[self._stop[texts] < 0])
-            for first in range(0, len(missing), _COUNT_BLOCK):
-                ids = missing[first : first + _COUNT_BLOCK]
-                block = np.empty((len(ids), self._dimension))
-                for row, text in zip(block, ids.tolist()):
-                    row[:] = counts(self._texts[text])
-                owner, buckets = np.nonzero(block)
-                lengths = np.bincount(owner, minlength=len(ids))
-                end = self._size + len(buckets)
-                if end > len(self._buckets):
-                    capacity = max(end, 2 * len(self._buckets))
-                    self._buckets = _grown(self._buckets, self._size, capacity)
-                    self._values = _grown(self._values, self._size, capacity)
-                self._buckets[self._size : end] = buckets
-                self._values[self._size : end] = block[owner, buckets]
-                stops = self._size + np.cumsum(lengths)
-                # Segments are written before they are published.
-                self._start[ids] = stops - lengths
-                self._stop[ids] = stops
-                self._size = end
+            owner, buckets, counts = sparse_counts([self._texts[text] for text in missing.tolist()])
+            # Unsorted owners would publish other texts' pairs as a segment.
+            if owner.size and not (0 <= owner[0] and owner[-1] < len(missing) and (np.diff(owner) >= 0).all()):
+                raise ValueError("embedder contract: sparse_counts must be sorted by text index")
+            lengths = np.bincount(owner, minlength=len(missing))
+            end = self._size + len(buckets)
+            if end > len(self._buckets):
+                capacity = max(end, 2 * len(self._buckets))
+                self._buckets = _grown(self._buckets, self._size, capacity)
+                self._values = _grown(self._values, self._size, capacity)
+            self._buckets[self._size : end] = buckets
+            self._values[self._size : end] = counts
+            stops = self._size + np.cumsum(lengths)
+            # Segments are written before they are published.
+            self._start[missing] = stops - lengths
+            self._stop[missing] = stops
+            self._size = end
 
     def entity_scores(self, vec: np.ndarray, embedder: Embedder) -> np.ndarray:
         """Each entity's cosine similarity with the unit-or-zero ``vec``, unclipped."""
         if self._entity_block is None:
             entities = np.arange(self._entities)
-            self._fill(entities, embedder.counts)
+            self._fill(entities, embedder.sparse_counts)
             lengths = self._stop[entities] - self._start[entities]
             at = _ranges(self._start[entities], self._stop[entities])
             owner, buckets, values = np.repeat(entities, lengths), self._buckets[at], self._values[at]
@@ -401,7 +402,7 @@ class CountTable:
         three texts'."""
         row_texts = np.stack((graph._head_surface[rows], graph._relation[rows], graph._tail_surface[rows]))
         texts, where = np.unique(row_texts, return_inverse=True)
-        self._fill(texts, embedder.counts)
+        self._fill(texts, embedder.sparse_counts)
         dots = self._dots(texts, key_matrix)
         where = where.reshape(row_texts.shape)
         best = (dots[where[0]] + dots[where[1]] + dots[where[2]]).max(axis=1)
@@ -441,7 +442,7 @@ class CountTable:
 
 
 class DenseIndex:
-    """Scores from the vectors of an embedder without ``counts``.
+    """Scores from the vectors of an embedder without ``sparse_counts``.
 
     The entities' vectors are stacked by ``embed_matrix``, checked and kept
     the first time an entity is scored. Triples go through ``embed`` each

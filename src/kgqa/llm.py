@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import random
 import re
 import string
 import sys
@@ -475,12 +476,29 @@ def load_script(path: str) -> ScriptedBackend:
         return ScriptedBackend(parse_script(f.readlines(), source=path))
 
 
+# Seconds ``HTTPBackend`` waits after its first transient fault; each later
+# wait doubles, up to the cap, and a random part of it (jitter) keeps
+# clients that failed together from retrying together.
+RETRY_BASE_S = 0.5
+RETRY_CAP_S = 8.0
+
+
+def _retry_delay(attempt: int) -> float:
+    """Seconds to sleep after failed attempt ``attempt`` (0 for the first):
+    between half and all of ``RETRY_BASE_S * 2 ** attempt``, capped at
+    ``RETRY_CAP_S``."""
+    # The exponent is bounded so that no max_retries overflows a float.
+    ceiling = min(RETRY_CAP_S, RETRY_BASE_S * 2.0 ** min(attempt, 64))
+    return ceiling / 2 + random.uniform(0.0, ceiling / 2)
+
+
 class HTTPBackend:
     """Chat-completion backend over HTTP.
 
     Up to ``max_retries`` attempts are made while the fault may be
-    transient: a timeout, a connection error, a 429 or a 5xx status. Any
-    other 4xx status, or a reply without a completion, fails at once.
+    transient: a timeout, a connection error, a 429 or a 5xx status, with
+    a ``_retry_delay`` sleep between two attempts. Any other 4xx status, or
+    a reply without a completion, fails at once.
     """
 
     def __init__(
@@ -517,7 +535,9 @@ class HTTPBackend:
             "max_tokens": request.max_tokens,
         }
         last_error: Optional[Exception] = None
-        for _ in range(self.max_retries):
+        for attempt in range(self.max_retries):
+            if attempt:
+                time.sleep(_retry_delay(attempt - 1))
             try:
                 response = requests.post(
                     self.base_url, json=payload, headers=headers, timeout=self.timeout

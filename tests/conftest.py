@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+import re
 import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kgqa.embedding import CachingEmbedder, HashedEmbedder
@@ -39,6 +42,14 @@ def golden_backend() -> ScriptedBackend:
     return ScriptedBackend(golden_rules())
 
 
+def reference_counts(text, dimension):
+    """md5 of each lowercased ``\\w+`` token, modulo the dimension, counted."""
+    vec = np.zeros(dimension)
+    for token in re.findall(r"\w+", text.lower()):
+        vec[int(hashlib.md5(token.encode("utf-8")).hexdigest(), 16) % dimension] += 1.0
+    return vec
+
+
 class ScaledEmbedder:
     """Hashed vectors scaled by text length: breaks the unit-vector contract."""
 
@@ -52,7 +63,7 @@ class ScaledEmbedder:
 
 class SignedEmbedder:
     """Hashed vectors, negated for odd-length texts: unit vectors that can
-    score below zero, and no ``counts``, so a graph scores them with a
+    score below zero, and no ``sparse_counts``, so a graph scores them with a
     ``DenseIndex``."""
 
     def __init__(self, dimension):

@@ -1,13 +1,11 @@
 from __future__ import annotations
 
-import hashlib
-import re
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_counts
 from kgqa.embedding import (
     UNIT_NORM_TOLERANCE,
     CachingEmbedder,
@@ -137,24 +135,33 @@ def test_check_unit_rows_rejects_other_norms(scale):
         check_unit_rows(matrix)
 
 
-def reference_counts(text, dimension):
-    """md5 of each lowercased ``\\w+`` token, modulo the dimension, counted."""
-    vec = np.zeros(dimension)
-    for token in re.findall(r"\w+", text.lower()):
-        vec[int(hashlib.md5(token.encode("utf-8")).hexdigest(), 16) % dimension] += 1.0
-    return vec
+# Duplicates, texts with no ``\w`` token, a Greek final sigma and a dotted
+# capital I, among arbitrary text.
+_batch_text = st.one_of(st.text(), st.sampled_from(["", "!!!", "ΟΔΟΣ", "İzmir", "alpha Alpha beta"]))
 
 
 @settings(max_examples=200, deadline=None)
-@given(texts=st.lists(st.text(), min_size=1, max_size=5), dimension=st.integers(1, 64))
+@given(texts=st.lists(_batch_text, max_size=8), dimension=st.integers(1, 64))
+@example(texts=["", "!!!", "ΟΔΟΣ", "İzmir", "ΟΔΟΣ", "οδοσ"], dimension=64)
+@example(texts=[], dimension=8)
 def test_hashed_vectors_match_md5_reference(texts, dimension):
-    # Memoised buckets change no bit: embed is the normalised counts.
+    # Memoised buckets change no bit: the sparse counts of a batch are the
+    # nonzero entries of each text's md5 reference, in row-major order (by
+    # text, then bucket), and embed is the normalised reference.
+    texts = texts + texts[::2]
     hashed = HashedEmbedder(dimension)
     cached = CachingEmbedder(HashedEmbedder(dimension))
-    for text in texts:
-        counts = reference_counts(text, dimension)
-        assert hashed.counts(text).tobytes() == counts.tobytes()
-        assert cached.counts(text).tobytes() == counts.tobytes()
+    reference = np.zeros((len(texts), dimension))
+    for row, text in zip(reference, texts):
+        row[:] = reference_counts(text, dimension)
+    owner, bucket = np.nonzero(reference)
+    for embedder in (hashed, cached):
+        got_owner, got_bucket, got_count = embedder.sparse_counts(texts)
+        assert (np.diff(got_owner * dimension + got_bucket) > 0).all()
+        assert got_owner.tolist() == owner.tolist()
+        assert got_bucket.tolist() == bucket.tolist()
+        assert np.asarray(got_count, dtype=np.float64).tobytes() == reference[owner, bucket].tobytes()
+    for text, counts in zip(texts, reference):
         norm = np.linalg.norm(counts)
         unit = counts / norm if norm > 0 else counts
         assert hashed.embed(text).tobytes() == unit.tobytes()
@@ -162,9 +169,12 @@ def test_hashed_vectors_match_md5_reference(texts, dimension):
 
 
 def test_caching_embedder_forwards_counts_uncached():
+    texts = ["alpha alpha beta", "", "beta"]
     cached = CachingEmbedder(HashedEmbedder(8))
-    assert np.array_equal(cached.counts("alpha alpha beta"), HashedEmbedder(8).counts("alpha alpha beta"))
+    for got, want in zip(cached.sparse_counts(texts), HashedEmbedder(8).sparse_counts(texts)):
+        assert got.tolist() == want.tolist()
     assert len(cached._cache) == 0
+    assert not hasattr(cached, "counts")
 
     class EmbedOnly:
         dimension = 3
@@ -172,4 +182,4 @@ def test_caching_embedder_forwards_counts_uncached():
         def embed(self, text):
             return np.array([1.0, 0.0, 0.0])
 
-    assert not hasattr(CachingEmbedder(EmbedOnly()), "counts")
+    assert not hasattr(CachingEmbedder(EmbedOnly()), "sparse_counts")

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ScaledEmbedder, expand, make_embedder
+from conftest import ScaledEmbedder, expand, make_embedder, reference_counts
 from kgqa.embedding import CachingEmbedder, HashedEmbedder, cosine_sim, embed_matrix
 from kgqa.kg_store import (
+    CountTable,
     EntityId,
     GraphParseError,
     KnowledgeGraph,
@@ -344,7 +345,7 @@ def test_entities_sorted_once(fixture_graph):
 
 
 class DenseCountingEmbedder:
-    """A hashed embedder without ``counts``, so a graph builds it a dense
+    """A hashed embedder without ``sparse_counts``, so a graph builds it a dense
     index; counts its bulk embeds, each slow, so that a concurrent build
     stays open while other threads arrive."""
 
@@ -361,21 +362,21 @@ class DenseCountingEmbedder:
 
 
 class CountingEmbedder(DenseCountingEmbedder):
-    """With ``counts``, so a graph builds it a count table; counts (slowly)
-    the texts the table asks for."""
+    """With ``sparse_counts``, so a graph builds it a count table; counts
+    the texts the table asks for, each call slow."""
 
     def __init__(self):
         super().__init__()
         self.counted = 0
 
-    def counts(self, text):
-        self.counted += 1
-        time.sleep(0.01)
-        return self._inner.counts(text)
+    def sparse_counts(self, texts):
+        self.counted += len(texts)
+        time.sleep(0.05)
+        return self._inner.sparse_counts(texts)
 
 
 def test_entity_index_per_embedder(fixture_graph):
-    # With ``counts`` the index is a count table holding each entity once.
+    # With ``sparse_counts`` the index is a count table holding each entity once.
     first, second = CountingEmbedder(), CountingEmbedder()
     for embedder in (first, second, first):
         assert fixture_graph.resolve_entity("Alex Ferguson OBE", embedder, 0.5).canonical == "alex ferguson"
@@ -424,22 +425,107 @@ def test_entity_index_built_once_under_concurrent_resolves(fixture_graph):
 
 def _resolve_concurrently(fixture_graph, inner):
     embedder = CachingEmbedder(inner)
-    barrier = threading.Barrier(4)
+    results = _concurrently(lambda: fixture_graph.resolve_entity("Alex Ferguson OBE", embedder, 0.5))
+    assert [e.canonical for e in results] == ["alex ferguson"] * 4
+
+
+def _concurrently(call, threads=4):
+    """The results of ``call`` run on ``threads`` threads released at once,
+    with thread switches as frequent as the interpreter allows."""
+    barrier = threading.Barrier(threads)
     results = []
 
-    def resolve():
+    def run():
         barrier.wait(timeout=10)
-        results.append(fixture_graph.resolve_entity("Alex Ferguson OBE", embedder, 0.5))
+        results.append(call())
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=resolve) for _ in range(4)]
-        for t in threads:
+        workers = [threading.Thread(target=run) for _ in range(threads)]
+        for t in workers:
             t.start()
-        for t in threads:
+        for t in workers:
             t.join(timeout=10)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert [e.canonical for e in results] == ["alex ferguson"] * 4
+    assert not any(t.is_alive() for t in workers)
+    assert len(results) == threads
+    return results
+
+
+class ReferenceCounts:
+    """Hashed vectors whose ``sparse_counts`` are the nonzero entries of each
+    text's md5 reference, one dense vector per text."""
+
+    def __init__(self, dimension):
+        self.dimension = dimension
+        self.embed = HashedEmbedder(dimension).embed
+
+    def sparse_counts(self, texts):
+        dense = np.zeros((len(texts), self.dimension))
+        for row, text in zip(dense, texts):
+            row[:] = reference_counts(text, self.dimension)
+        owner, bucket = np.nonzero(dense)
+        return owner, bucket, dense[owner, bucket]
+
+
+_WORDS = ["Ash", "elm", "OAK", "ΟΔΟΣ", "οδοσ", "İzmir", "ash-elm", "x1", "!!", "Élan", "fir", "yew"]
+
+
+def _random_graph(rng, triples):
+    """A graph of ``triples`` random lines of one to three words per field."""
+    def field():
+        return " ".join(rng.choice(_WORDS) for _ in range(rng.randint(1, 3)))
+
+    return load_graph(f"{field()}\t{field()}\t{field()}" for _ in range(triples))
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bulk_filled_table_matches_text_by_text_reference(seed, threads):
+    # One ``sparse_counts`` call per fill stores, and scores with, exactly
+    # the bits that filling each text alone from the md5 reference does.
+    rng = random.Random(seed)
+    dimension = rng.choice([8, 64, 256])
+    graph = _random_graph(rng, 300)
+    rows = np.arange(graph.triple_count)
+    keys = embed_matrix(HashedEmbedder(dimension), ["ash elm", "İzmir οδοσ", "oak", "!!"])
+    mention = HashedEmbedder(dimension).embed("ash oak yew fir")
+
+    md5 = ReferenceCounts(dimension)
+    reference = CountTable(graph, dimension)
+    for text in range(len(graph._texts)):
+        reference._fill(np.array([text]), md5.sparse_counts)
+    want_entities = reference.entity_scores(mention, md5)
+    want_rows = reference.row_scores(graph, rows, keys, md5)
+
+    embedder = CachingEmbedder(HashedEmbedder(dimension))
+    results = _concurrently(
+        lambda: (
+            graph.resolve_entity("ash oak yew fir", embedder, 0.1),
+            graph.row_scores(rows, embedder, keys),
+        ),
+        threads,
+    )
+    table = graph._index(embedder)
+    assert isinstance(table, CountTable)
+    assert (table._stop >= 0).all()
+    for text in range(len(graph._texts)):
+        got = slice(table._start[text], table._stop[text])
+        want = slice(reference._start[text], reference._stop[text])
+        assert table._buckets[got].tobytes() == reference._buckets[want].tobytes()
+        assert table._values[got].tobytes() == reference._values[want].tobytes()
+    assert table._row_inverse_norms.tobytes() == reference._row_inverse_norms.tobytes()
+    assert table.entity_scores(mention, embedder).tobytes() == want_entities.tobytes()
+    for _, scores in results:
+        assert scores.tobytes() == want_rows.tobytes()
+
+
+def test_unsorted_sparse_counts_rejected(fixture_graph):
+    class Reversed(ReferenceCounts):
+        def sparse_counts(self, texts):
+            return tuple(column[::-1] for column in super().sparse_counts(texts))
+
+    with pytest.raises(ValueError, match="embedder contract: sparse_counts must be sorted"):
+        fixture_graph.resolve_entity("Alex Ferguson OBE", Reversed(64), 0.5)

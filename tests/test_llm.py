@@ -5,6 +5,7 @@ import json
 import pytest
 import requests
 
+from kgqa import llm
 from kgqa.config import PipelineConfig
 from kgqa.extraction import extract_global_keys, extract_local_keys
 from kgqa.llm import (
@@ -226,9 +227,19 @@ def _response(status, body):
 COMPLETION = {"choices": [{"message": {"content": "[ok]"}}]}
 
 
+def _patched_sleep(monkeypatch):
+    """``time.sleep`` recording each delay instead of waiting; returns the
+    list of delays."""
+    delays = []
+    monkeypatch.setattr(llm.time, "sleep", delays.append)
+    return delays
+
+
 def _patched_post(monkeypatch, outcomes):
     """``requests.post`` answering each call with the next of ``outcomes``
-    (a response, or an exception to raise); returns the list of calls."""
+    (a response, or an exception to raise), with retries not waiting;
+    returns the list of calls."""
+    _patched_sleep(monkeypatch)
     calls = []
 
     def post(url, **kwargs):
@@ -290,6 +301,66 @@ def test_http_fails_fast_on_a_completion_that_is_not_text(monkeypatch, content):
     with pytest.raises(BackendError, match="no completion"):
         HTTPBackend("http://llm.invalid/v1/chat").generate(HTTP_REQUEST)
     assert len(calls) == 1
+
+
+def _backoff_bounds(attempts):
+    """The (low, high) bounds of the wait after each failed attempt but the
+    last: half to all of the doubling, capped delay."""
+    ceilings = [min(llm.RETRY_CAP_S, llm.RETRY_BASE_S * 2**i) for i in range(attempts - 1)]
+    return [(c / 2, c) for c in ceilings]
+
+
+@pytest.mark.parametrize(
+    "transient", [requests.Timeout("read timed out"), _response(502, {})], ids=["timeout", "502"]
+)
+def test_http_backs_off_between_transient_faults(monkeypatch, transient):
+    # Exponential and capped, with jitter, and no wait after the last attempt.
+    attempts = 9
+    assert llm.RETRY_BASE_S * 2 ** (attempts - 2) > llm.RETRY_CAP_S
+    calls = _patched_post(monkeypatch, [transient] * attempts)
+    delays = _patched_sleep(monkeypatch)
+    with pytest.raises(BackendError, match=f"failed after {attempts} attempts"):
+        HTTPBackend("http://llm.invalid/v1/chat", max_retries=attempts).generate(HTTP_REQUEST)
+    assert len(calls) == attempts
+    bounds = _backoff_bounds(attempts)
+    assert len(delays) == len(bounds)
+    assert all(low <= delay <= high for delay, (low, high) in zip(delays, bounds))
+    assert max(delays) <= llm.RETRY_CAP_S
+
+
+def test_http_backoff_is_jittered(monkeypatch):
+    # Two clients failing together do not wait the same time.
+    waits = []
+    for _ in range(2):
+        _patched_post(monkeypatch, [_response(503, {})] * 3)
+        delays = _patched_sleep(monkeypatch)
+        with pytest.raises(BackendError):
+            HTTPBackend("http://llm.invalid/v1/chat").generate(HTTP_REQUEST)
+        waits.append(delays)
+    assert waits[0] != waits[1]
+
+
+@pytest.mark.parametrize(
+    "outcomes, waits",
+    [
+        ([_response(200, COMPLETION)], 0),
+        ([_response(404, {})], 0),
+        ([_response(503, {}), _response(200, COMPLETION)], 1),
+        ([_response(503, {}), _response(400, {})], 1),
+    ],
+    ids=["success", "4xx", "fault-then-success", "fault-then-4xx"],
+)
+def test_http_waits_only_between_attempts(monkeypatch, outcomes, waits):
+    # No wait before the first attempt, nor before failing fast on a 4xx.
+    _patched_post(monkeypatch, outcomes)
+    delays = _patched_sleep(monkeypatch)
+    backend = HTTPBackend("http://llm.invalid/v1/chat")
+    if outcomes[-1].status_code == 200:
+        assert backend.generate(HTTP_REQUEST) == "[ok]"
+    else:
+        with pytest.raises(BackendError, match="rejected"):
+            backend.generate(HTTP_REQUEST)
+    assert len(delays) == waits
 
 
 @pytest.mark.parametrize("max_retries", [0, -1])

@@ -135,6 +135,10 @@ class TestConfig:
         assert cfg.epsilon == 0.9
         assert cfg.hops == 2
 
+    def test_unknown_override_rejected(self):
+        with pytest.raises(ValueError, match="unknown config key 'bogus'"):
+            load_config(overrides={"bogus": 1})
+
     def test_overrides_beat_env(self, monkeypatch):
         monkeypatch.setenv("COGGRAG_MAX_DEPTH", "2")
         cfg = load_config(overrides={"max_depth": 1})

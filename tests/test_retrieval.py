@@ -410,26 +410,26 @@ def test_expansion_longer_than_a_block():
 
 class CountingEmbedder:
     """A hashed embedder counting its embedded rows and, when it is additive,
-    offering ``counts`` and counting the texts counted."""
+    offering ``sparse_counts`` and counting the texts counted."""
 
     def __init__(self, additive):
         self._inner = HashedEmbedder()
         self.dimension = self._inner.dimension
         self.calls = self.counted = 0
         if additive:
-            self.counts = self._counts
+            self.sparse_counts = self._sparse_counts
 
     def embed(self, text):
         self.calls += 1
         return self._inner.embed(text)
 
-    def _counts(self, text):
-        self.counted += 1
-        return self._inner.counts(text)
+    def _sparse_counts(self, texts):
+        self.counted += len(texts)
+        return self._inner.sparse_counts(texts)
 
 
 def test_hub_cap_rows_served_from_cache():
-    # Without ``counts`` the hub's rows are embedded, then served from the
+    # Without ``sparse_counts`` the hub's rows are embedded, then served from the
     # cache; with it they are scored from the count table, never embedded,
     # and no text is counted twice.
     graph = hub_graph([f"spoke {i}" for i in range(50)])
