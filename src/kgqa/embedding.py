@@ -24,12 +24,10 @@ counts instead of embedding every triple; for any other it embeds them
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import re
 import threading
 from array import array
-from itertools import repeat
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -88,11 +86,35 @@ def embed_matrix(embedder: Embedder, texts: Sequence[str]) -> np.ndarray:
     return out
 
 
-# Bounded: each 100k-triple benchmark graph has about 50k distinct tokens.
-@functools.lru_cache(maxsize=1 << 16)
-def _bucket(token: str, dimension: int) -> int:
-    digest = hashlib.md5(token.encode("utf-8")).hexdigest()
-    return int(digest, 16) % dimension
+# Tokens a bucket memo holds before it is emptied: each 100k-triple
+# benchmark graph has about 50k distinct tokens.
+MEMO_TOKENS = 1 << 16
+
+
+class _BucketMemo(dict):
+    """Each token's md5 bucket under one dimension, computed on a miss;
+    emptied when it holds ``MEMO_TOKENS`` tokens, so it never holds more."""
+
+    def __init__(self, dimension: int):
+        super().__init__()
+        self.dimension = dimension
+
+    def __missing__(self, token: str) -> int:
+        if len(self) >= MEMO_TOKENS:
+            self.clear()
+        digest = hashlib.md5(token.encode("utf-8")).hexdigest()
+        self[token] = bucket = int(digest, 16) % self.dimension
+        return bucket
+
+
+class _Memos(dict):
+    """One ``_BucketMemo`` per dimension, made on first use."""
+
+    def __missing__(self, dimension: int) -> _BucketMemo:
+        return self.setdefault(dimension, _BucketMemo(dimension))
+
+
+_memos = _Memos()
 
 
 class HashedEmbedder:
@@ -107,18 +129,19 @@ class HashedEmbedder:
         """The nonzero token counts of ``texts``, one bucket per token, as
         ``(text_index, bucket, count)`` sorted by text index, then bucket."""
         dimension = self.dimension
+        bucket = _memos[dimension].__getitem__
         lengths, buckets = array("q"), array("q")
         for tokens in map(_TOKEN_RE.findall, map(str.lower, texts)):
             lengths.append(len(tokens))
-            buckets.extend(map(_bucket, tokens, repeat(dimension)))
+            buckets.extend(map(bucket, tokens))
         owner = np.repeat(np.arange(len(lengths), dtype=np.int64), np.asarray(lengths))
         cells, counts = np.unique(owner * dimension + np.asarray(buckets), return_counts=True)
         return cells // dimension, cells % dimension, counts
 
     def embed(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dimension, dtype=np.float64)
-        for token in _TOKEN_RE.findall(text.lower()):
-            vec[_bucket(token, self.dimension)] += 1.0
+        for bucket in map(_memos[self.dimension].__getitem__, _TOKEN_RE.findall(text.lower())):
+            vec[bucket] += 1.0
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec /= norm

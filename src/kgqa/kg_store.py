@@ -16,7 +16,9 @@ Built later, under a lock, and dropped with its embedder: the per-embedder
 index, which owns all similarity scoring (entities against a mention for
 a fuzzy resolve, rows against a question's keys for retrieval). For an
 embedder with ``sparse_counts`` it is a ``CountTable``, which embeds nothing
-and relies on ``serialize_triple``'s form; for any other, a ``DenseIndex``.
+and relies on ``serialize_triple``'s form, and which scores a mention from
+the entity postings of the mention's buckets, so that an entity sharing no
+bucket with the mention scores exactly 0; for any other, a ``DenseIndex``.
 """
 from __future__ import annotations
 
@@ -331,7 +333,11 @@ class CountTable:
     a segment of ``(bucket, count)`` pairs, filled the first time the text
     is needed: the texts a call lacks are counted in one ``sparse_counts``
     call, whose sorted arrays are the segments as they are stored. The
-    entities' segments are filled together on the first fuzzy resolve. As
+    entities' segments are filled together on the first fuzzy resolve and
+    copied into postings: their pairs in bucket-major order, with each
+    bucket's offsets. A mention is scored from the postings of its non-zero
+    buckets alone, so an entity that shares no bucket with it scores
+    exactly 0, and one that does sums its terms in its segment's order. As
     the counts are additive over texts joined by a space, a triple's vector
     is the sum of its head surface's, relation's and tail surface's (see
     ``serialize_triple``), so its dot product with a key is the sum of
@@ -351,7 +357,9 @@ class CountTable:
         self._size = 0
         self._lock = threading.Lock()
         self._entities = graph.entity_count
-        self._entity_block: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
+        self._postings: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
+        # Not ``_lock``: building the postings fills, and ``_fill`` takes that.
+        self._postings_lock = threading.Lock()
         self._row_inverse_norms = np.full(graph.triple_count, np.nan)
 
     def _fill(
@@ -363,6 +371,8 @@ class CountTable:
             return
         with self._lock:
             missing = np.unique(texts[self._stop[texts] < 0])
+            if not missing.size:
+                return
             owner, buckets, counts = sparse_counts([self._texts[text] for text in missing.tolist()])
             # Unsorted owners would publish other texts' pairs as a segment.
             if owner.size and not (0 <= owner[0] and owner[-1] < len(missing) and (np.diff(owner) >= 0).all()):
@@ -382,17 +392,37 @@ class CountTable:
             self._size = end
 
     def entity_scores(self, vec: np.ndarray, embedder: Embedder) -> np.ndarray:
-        """Each entity's cosine similarity with the unit-or-zero ``vec``, unclipped."""
-        if self._entity_block is None:
-            entities = np.arange(self._entities)
-            self._fill(entities, embedder.sparse_counts)
-            lengths = self._stop[entities] - self._start[entities]
-            at = _ranges(self._start[entities], self._stop[entities])
-            owner, buckets, values = np.repeat(entities, lengths), self._buckets[at], self._values[at]
-            squares = np.bincount(owner, weights=values * values, minlength=self._entities)
-            self._entity_block = owner, buckets, values, _inverse(np.sqrt(squares))
-        owner, buckets, values, inverse_norms = self._entity_block
-        return np.bincount(owner, weights=values * vec[buckets], minlength=self._entities) * inverse_norms
+        """Each entity's cosine similarity with the unit-or-zero ``vec``,
+        unclipped, from the postings of ``vec``'s non-zero buckets alone: an
+        entity that shares none scores exactly 0. Each entity's terms are
+        summed in bucket order, the order of its segment."""
+        entity, values, offsets, inverse_norms = self._postings or self._build_postings(embedder)
+        buckets = np.flatnonzero(vec)
+        starts, stops = offsets[buckets], offsets[buckets + 1]
+        at = _ranges(starts, stops)
+        weights = values[at] * np.repeat(vec[buckets], stops - starts)
+        # With no postings to add, bincount returns integers.
+        scores = np.bincount(entity[at], weights=weights, minlength=self._entities).astype(float, copy=False)
+        scores *= inverse_norms
+        return scores
+
+    def _build_postings(self, embedder: Embedder) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The entities' ``(entity, count)`` pairs sorted stably by bucket,
+        so each bucket's pairs ascend by entity; ``dimension + 1`` offsets
+        of the buckets' runs; and the entities' inverse norms. Built once."""
+        with self._postings_lock:
+            if self._postings is None:
+                entities = np.arange(self._entities, dtype=np.int32)
+                self._fill(entities, embedder.sparse_counts)
+                starts, stops = self._start[entities], self._stop[entities]
+                at = _ranges(starts, stops)
+                owner, buckets, values = np.repeat(entities, stops - starts), self._buckets[at], self._values[at]
+                squares = np.bincount(owner, weights=values * values, minlength=self._entities)
+                order = np.argsort(buckets, kind="stable")
+                offsets = np.zeros(self._dimension + 1, dtype=np.int64)
+                np.cumsum(np.bincount(buckets, minlength=self._dimension), out=offsets[1:])
+                self._postings = owner[order], values[order], offsets, _inverse(np.sqrt(squares))
+        return self._postings
 
     def row_scores(
         self, graph: KnowledgeGraph, rows: np.ndarray, key_matrix: np.ndarray, embedder: Embedder

@@ -498,7 +498,10 @@ class HTTPBackend:
     Up to ``max_retries`` attempts are made while the fault may be
     transient: a timeout, a connection error, a 429 or a 5xx status, with
     a ``_retry_delay`` sleep between two attempts. Any other 4xx status, or
-    a reply without a completion, fails at once.
+    a reply without a completion, fails at once. Each thread keeps one
+    ``requests.Session``, so that its calls reuse a connection: ``fan_out``
+    calls ``generate`` from pool threads, and a session is not safe to share
+    between threads.
     """
 
     def __init__(
@@ -516,6 +519,14 @@ class HTTPBackend:
         self.model = model
         self.max_retries = max_retries
         self.timeout = timeout
+        self._local = threading.local()
+
+    def _session(self) -> requests.Session:
+        """This thread's session, opened on its first call."""
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        return session
 
     @classmethod
     def from_env(cls, model: str = "default") -> "HTTPBackend":
@@ -534,12 +545,13 @@ class HTTPBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
+        session = self._session()
         last_error: Optional[Exception] = None
         for attempt in range(self.max_retries):
             if attempt:
                 time.sleep(_retry_delay(attempt - 1))
             try:
-                response = requests.post(
+                response = session.post(
                     self.base_url, json=payload, headers=headers, timeout=self.timeout
                 )
                 response.raise_for_status()

@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_counts
+from kgqa import embedding
 from kgqa.embedding import (
+    MEMO_TOKENS,
     UNIT_NORM_TOLERANCE,
     CachingEmbedder,
     HashedEmbedder,
@@ -166,6 +168,27 @@ def test_hashed_vectors_match_md5_reference(texts, dimension):
         unit = counts / norm if norm > 0 else counts
         assert hashed.embed(text).tobytes() == unit.tobytes()
         assert cached.embed(text).tobytes() == unit.tobytes()
+
+
+def test_bucket_memo_bounded_and_exact_across_a_clear(monkeypatch):
+    # A memo holding its bound is emptied before its next token, so it never
+    # grows past the bound; a batch spanning the clear and an embed after it
+    # still match the md5 reference.
+    dimension = 97
+    monkeypatch.delitem(embedding._memos, dimension, raising=False)
+    embedder = HashedEmbedder(dimension)
+    tokens = [f"w{i}" for i in range(MEMO_TOKENS + 2)]
+    embedder.sparse_counts([" ".join(tokens[: MEMO_TOKENS - 2])])
+    memo = embedding._memos[dimension]
+    assert len(memo) == MEMO_TOKENS - 2
+    spanning = " ".join(tokens[MEMO_TOKENS - 4 :])
+    reference = reference_counts(spanning, dimension)
+    _, bucket, count = embedder.sparse_counts([spanning])
+    assert len(memo) == 2
+    assert bucket.tolist() == np.flatnonzero(reference).tolist()
+    assert count.tolist() == reference[bucket].tolist()
+    assert embedder.embed(spanning).tobytes() == (reference / np.linalg.norm(reference)).tobytes()
+    assert len(memo) == 6
 
 
 def test_caching_embedder_forwards_counts_uncached():

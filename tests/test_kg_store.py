@@ -362,15 +362,19 @@ class DenseCountingEmbedder:
 
 
 class CountingEmbedder(DenseCountingEmbedder):
-    """With ``sparse_counts``, so a graph builds it a count table; counts
-    the texts the table asks for, each call slow."""
+    """With ``sparse_counts``, so a graph builds it a count table; records
+    the size of each call the table makes, each call slow."""
 
     def __init__(self):
         super().__init__()
-        self.counted = 0
+        self.calls = []
+
+    @property
+    def counted(self):
+        return sum(self.calls)
 
     def sparse_counts(self, texts):
-        self.counted += len(texts)
+        self.calls.append(len(texts))
         time.sleep(0.05)
         return self._inner.sparse_counts(texts)
 
@@ -416,9 +420,9 @@ def test_entity_index_freed_with_its_embedder(fixture_graph):
 def test_entity_index_built_once_under_concurrent_resolves(fixture_graph):
     for inner in (CountingEmbedder(), DenseCountingEmbedder()):
         _resolve_concurrently(fixture_graph, inner)
-        # Each entity counted once, or one bulk embed.
+        # One call counting each entity once, or one bulk embed.
         if isinstance(inner, CountingEmbedder):
-            assert (inner.counted, inner.bulk_calls) == (fixture_graph.entity_count, 0)
+            assert (inner.calls, inner.bulk_calls) == ([fixture_graph.entity_count], 0)
         else:
             assert inner.bulk_calls == 1
 
@@ -529,3 +533,75 @@ def test_unsorted_sparse_counts_rejected(fixture_graph):
 
     with pytest.raises(ValueError, match="embedder contract: sparse_counts must be sorted"):
         fixture_graph.resolve_entity("Alex Ferguson OBE", Reversed(64), 0.5)
+
+
+def entity_major_scores(table, vec):
+    """The entity-major scan the postings replaced: every entity's whole
+    segment, bincounted in entity, then bucket order."""
+    entities = np.arange(table._entities)
+    starts, stops = table._start[entities], table._stop[entities]
+    at = np.concatenate([np.arange(start, stop) for start, stop in zip(starts, stops)] + [np.empty(0, int)])
+    owner, buckets, values = np.repeat(entities, stops - starts), table._buckets[at], table._values[at]
+    norms = np.sqrt(np.bincount(owner, weights=values * values, minlength=table._entities))
+    inverse = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    return np.bincount(owner, weights=values * vec[buckets], minlength=table._entities) * inverse
+
+
+def _mention(rng):
+    return " ".join(rng.choice(_WORDS) for _ in range(rng.randint(1, 4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    triples=st.integers(1, 60),
+    dimension=st.sampled_from([4, 8, 64, 256]),
+    zero=st.booleans(),
+    threshold=st.floats(-0.2, 1.0),
+)
+@example(seed=0, triples=5, dimension=8, zero=True, threshold=-0.1)
+def test_postings_match_entity_major_scan(seed, triples, dimension, zero, threshold):
+    # Bitwise-equal scores, so resolving is unchanged, ties and all; the
+    # zero vector of ``"!!!"`` scores every entity 0.
+    rng = random.Random(seed)
+    graph = _random_graph(rng, triples)
+    embedder = HashedEmbedder(dimension)
+    mention = "!!!" if zero else _mention(rng)
+    vec = embedder.embed(normalize(mention))
+    table = graph._index(embedder)
+    got = table.entity_scores(vec, embedder)
+    assert got.tobytes() == entity_major_scores(table, vec).tobytes()
+    if zero:
+        assert got.tobytes() == np.zeros(graph.entity_count).tobytes()
+    for probe in (_mention(rng), mention):
+        probe_vec = embedder.embed(normalize(probe))
+        assert table.entity_scores(probe_vec, embedder).tobytes() == entity_major_scores(table, probe_vec).tobytes()
+        assert graph.resolve_entity(probe, embedder, threshold) == reference_resolve(graph, probe, embedder, threshold)
+
+
+def _unshared_token(graph, embedder):
+    """A token whose bucket no entity's tokens fall in."""
+    taken = np.zeros(embedder.dimension)
+    for entity in graph.entities:
+        taken += embedder.embed(entity.canonical)
+    return next(
+        token for token in (f"q{i}" for i in range(10_000)) if not (embedder.embed(token) * taken).any()
+    )
+
+
+@pytest.mark.parametrize("dimension", [4, 8, 64, 256])
+@pytest.mark.parametrize("threshold", [-0.5, 0.0])
+def test_mention_sharing_no_bucket_scores_every_entity_zero(dimension, threshold):
+    # Below a negative threshold every entity qualifies: the smallest
+    # canonical wins the tie at 0, as in the scan.
+    graph = load_graph(["ash\tr\telm"])
+    embedder = HashedEmbedder(dimension)
+    mention = _unshared_token(graph, embedder)
+    vec = embedder.embed(mention)
+    table = graph._index(embedder)
+    scores = table.entity_scores(vec, embedder)
+    assert scores.tobytes() == np.zeros(graph.entity_count).tobytes()
+    assert scores.tobytes() == entity_major_scores(table, vec).tobytes()
+    expected = reference_resolve(graph, mention, embedder, threshold)
+    assert graph.resolve_entity(mention, embedder, threshold) == expected
+    assert (expected is None) == (threshold >= 0)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 import requests
@@ -236,20 +237,20 @@ def _patched_sleep(monkeypatch):
 
 
 def _patched_post(monkeypatch, outcomes):
-    """``requests.post`` answering each call with the next of ``outcomes``
-    (a response, or an exception to raise), with retries not waiting;
-    returns the list of calls."""
+    """``requests.Session.post`` answering each call with the next of
+    ``outcomes`` (a response, or an exception to raise), with retries not
+    waiting; returns the list of calls, each as the session that made it."""
     _patched_sleep(monkeypatch)
     calls = []
 
-    def post(url, **kwargs):
-        calls.append(url)
+    def post(session, url, **kwargs):
+        calls.append(session)
         outcome = outcomes[len(calls) - 1]
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
 
-    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.setattr(requests.Session, "post", post)
     return calls
 
 
@@ -369,3 +370,25 @@ def test_http_rejects_max_retries_below_one(monkeypatch, max_retries):
     with pytest.raises(ValueError, match="max_retries"):
         HTTPBackend("http://llm.invalid/v1/chat", max_retries=max_retries)
     assert calls == []
+
+
+def test_http_calls_on_one_thread_share_a_session(monkeypatch):
+    calls = _patched_post(monkeypatch, [_response(503, {}), _response(200, COMPLETION)] * 2)
+    backend = HTTPBackend("http://llm.invalid/v1/chat")
+    for _ in range(2):
+        assert backend.generate(HTTP_REQUEST) == "[ok]"
+    assert len(calls) == 4
+    assert all(session is calls[0] for session in calls)
+
+
+def test_http_threads_use_their_own_sessions(monkeypatch):
+    calls = _patched_post(monkeypatch, [_response(200, COMPLETION)] * 3)
+    backend = HTTPBackend("http://llm.invalid/v1/chat")
+    backend.generate(HTTP_REQUEST)
+    for _ in range(2):
+        worker = threading.Thread(target=backend.generate, args=(HTTP_REQUEST,))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+    # ``calls`` keeps every session alive, so no two can share an id.
+    assert len(calls) == len({id(session) for session in calls}) == 3
