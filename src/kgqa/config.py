@@ -24,7 +24,8 @@ _BOUNDS = {
     "hub_cap": (1, math.inf),
     "max_evidence_triples": (1, math.inf),
     "max_tokens": (1, math.inf),
-    "embedding_dim": (1, math.inf),
+    # ``HashedEmbedder.embed`` allocates a vector of this length per call.
+    "embedding_dim": (1, 1 << 16),
     "max_depth": (0, math.inf),
     "max_parse_retries": (0, math.inf),
     "exploration_temperature": (0, math.inf),

@@ -17,8 +17,9 @@ index, which owns all similarity scoring (entities against a mention for
 a fuzzy resolve, rows against a question's keys for retrieval). For an
 embedder with ``sparse_counts`` it is a ``CountTable``, which embeds nothing
 and relies on ``serialize_triple``'s form, and which scores a mention from
-the entity postings of the mention's buckets, so that an entity sharing no
-bucket with the mention scores exactly 0; for any other, a ``DenseIndex``.
+the entity postings of the mention's buckets, returning only the entities
+they touch: any other shares no bucket with the mention and scores exactly
+0; for any other embedder, a ``DenseIndex``, which scores every entity.
 """
 from __future__ import annotations
 
@@ -118,6 +119,17 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     lengths = stops - starts
     offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
     return offsets + np.arange(len(offsets))
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-d int array, of ``values``' dtype,
+    as ``np.unique`` gives them, by one sort: numpy >= 2.3 dedupes by
+    hashing, which is many times slower at the sizes of an expansion."""
+    ordered = np.sort(values)
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
 
 
 def _ranked(texts: list[str]) -> tuple[list[str], np.ndarray]:
@@ -261,12 +273,22 @@ class KnowledgeGraph:
         if embedder is None or not self._entity_ids:
             return None
         mention_vec = embedder.embed(canonical)
-        scores = self._index(embedder).entity_scores(mention_vec, embedder)
+        ids, scores = self._index(embedder).entity_scores(mention_vec, embedder)
         np.clip(scores, -1.0, 1.0, out=scores)
-        floor = max(float(scores.max()), threshold) - RESCORE_TOLERANCE
+        # Entities left out of ``ids`` score exactly 0.
+        left_out = len(ids) < self.entity_count
+        floor = max(float(scores.max(initial=0.0 if left_out else -1.0)), threshold) - RESCORE_TOLERANCE
+        shortlist = ids[scores >= floor]
+        if left_out and floor <= 0.0:
+            # Only the first of a tie can win, so the smallest left-out id,
+            # the first id of the ascending ``ids`` that is not its position,
+            # stands for all of them.
+            mismatch = np.flatnonzero(ids != np.arange(len(ids)))
+            smallest = mismatch[0] if mismatch.size else len(ids)
+            shortlist = np.insert(shortlist, np.searchsorted(shortlist, smallest), smallest)
         best: Optional[int] = None
         best_score = threshold
-        for row in np.flatnonzero(scores >= floor):
+        for row in shortlist.tolist():
             score = cosine_sim(mention_vec, embedder.embed(self._texts[row]))
             if score > best_score:
                 best = row
@@ -288,29 +310,35 @@ class KnowledgeGraph:
         return self._index(embedder).row_scores(self, rows, key_matrix, embedder)
 
     def neighbors(self, entity: "EntityId | str", hops: int = 1) -> np.ndarray:
-        """The sorted ids of every row reachable by breadth-first expansion
-        within ``hops`` edges (see ``triple``)."""
+        """The sorted, unique int32 ids of every row reachable by
+        breadth-first expansion within ``hops`` edges (see ``triple``); for
+        one hop, a read-only view of the entity's adjacency."""
         if hops < 1:
             raise ValueError("hops must be >= 1")
         canonical = entity.canonical if isinstance(entity, EntityId) else normalize(entity)
         start = self._entity_ids.get(canonical)
         if start is None:
             return np.empty(0, dtype=np.int32)
-        seen = frontier = np.array([start])
-        collected = []
-        for hop in range(hops):
+        rows = self._adjacent_rows[self._adjacency_start[start] : self._adjacency_start[start + 1]]
+        if hops == 1:
+            # One entity's adjacency is already sorted and unique.
+            rows.flags.writeable = False
+            return rows
+        visited = np.zeros(self.entity_count, dtype=bool)
+        visited[start] = True
+        collected = [rows]
+        for _ in range(hops - 1):
+            ends = np.concatenate((self._head[rows], self._tail[rows]))
+            ends = ends[~visited[ends]]
+            if not ends.size:
+                break
+            frontier = distinct(ends)
+            visited[frontier] = True
             rows = self._adjacent_rows[
                 _ranges(self._adjacency_start[frontier], self._adjacency_start[frontier + 1])
             ]
             collected.append(rows)
-            if hop + 1 == hops:
-                break
-            ends = np.union1d(self._head[rows], self._tail[rows])
-            frontier = np.setdiff1d(ends, seen, assume_unique=True)
-            if not frontier.size:
-                break
-            seen = np.union1d(seen, frontier)
-        return np.unique(np.concatenate(collected))
+        return distinct(np.concatenate(collected))
 
     @cached_property
     def _digest(self) -> str:
@@ -336,8 +364,9 @@ class CountTable:
     entities' segments are filled together on the first fuzzy resolve and
     copied into postings: their pairs in bucket-major order, with each
     bucket's offsets. A mention is scored from the postings of its non-zero
-    buckets alone, so an entity that shares no bucket with it scores
-    exactly 0, and one that does sums its terms in its segment's order. As
+    buckets alone, and only the entities those touch are returned, each
+    summing its terms in its segment's order; an entity that shares no
+    bucket with the mention scores exactly 0. As
     the counts are additive over texts joined by a space, a triple's vector
     is the sum of its head surface's, relation's and tail surface's (see
     ``serialize_triple``), so its dot product with a key is the sum of
@@ -370,7 +399,7 @@ class CountTable:
         if (self._stop[texts] >= 0).all():
             return
         with self._lock:
-            missing = np.unique(texts[self._stop[texts] < 0])
+            missing = distinct(texts[self._stop[texts] < 0])
             if not missing.size:
                 return
             owner, buckets, counts = sparse_counts([self._texts[text] for text in missing.tolist()])
@@ -391,20 +420,24 @@ class CountTable:
             self._stop[missing] = stops
             self._size = end
 
-    def entity_scores(self, vec: np.ndarray, embedder: Embedder) -> np.ndarray:
-        """Each entity's cosine similarity with the unit-or-zero ``vec``,
-        unclipped, from the postings of ``vec``'s non-zero buckets alone: an
-        entity that shares none scores exactly 0. Each entity's terms are
-        summed in bucket order, the order of its segment."""
+    def entity_scores(self, vec: np.ndarray, embedder: Embedder) -> tuple[np.ndarray, np.ndarray]:
+        """The ascending ids of the entities sharing a bucket with the
+        unit-or-zero ``vec``, and their cosine similarities with it,
+        unclipped, from the postings of ``vec``'s non-zero buckets alone;
+        every other entity scores exactly 0. Each entity's terms are summed
+        in bucket order, the order of its segment."""
         entity, values, offsets, inverse_norms = self._postings or self._build_postings(embedder)
         buckets = np.flatnonzero(vec)
         starts, stops = offsets[buckets], offsets[buckets + 1]
         at = _ranges(starts, stops)
         weights = values[at] * np.repeat(vec[buckets], stops - starts)
+        owners = entity[at]
+        ids = distinct(owners)
         # With no postings to add, bincount returns integers.
-        scores = np.bincount(entity[at], weights=weights, minlength=self._entities).astype(float, copy=False)
-        scores *= inverse_norms
-        return scores
+        scores = np.bincount(np.searchsorted(ids, owners), weights=weights, minlength=len(ids))
+        scores = scores.astype(float, copy=False)
+        scores *= inverse_norms[ids]
+        return ids, scores
 
     def _build_postings(self, embedder: Embedder) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The entities' ``(entity, count)`` pairs sorted stably by bucket,
@@ -487,13 +520,14 @@ class DenseIndex:
         self._entity_matrix: Optional[np.ndarray] = None
         self._lock = threading.Lock()
 
-    def entity_scores(self, vec: np.ndarray, embedder: Embedder) -> np.ndarray:
-        """Each entity's cosine similarity with the unit-or-zero ``vec``, unclipped."""
+    def entity_scores(self, vec: np.ndarray, embedder: Embedder) -> tuple[np.ndarray, np.ndarray]:
+        """Every entity's id, ascending, and its cosine similarity with the
+        unit-or-zero ``vec``, unclipped."""
         with self._lock:
             if self._entity_matrix is None:
                 entities = self._texts[: self._entities]
                 self._entity_matrix = check_unit_rows(embed_matrix(embedder, entities))
-        return self._entity_matrix @ vec
+        return np.arange(self._entities), self._entity_matrix @ vec
 
     def row_scores(
         self, graph: KnowledgeGraph, rows: np.ndarray, key_matrix: np.ndarray, embedder: Embedder

@@ -25,6 +25,7 @@ import time
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Protocol, TypeVar, runtime_checkable
 
 import requests
@@ -60,8 +61,9 @@ class PromptTemplate:
     body: str
     exploratory: bool = False
 
-    @property
+    @cached_property
     def slots(self) -> tuple[str, ...]:
+        """The body's distinct slot names in order of first use, parsed once."""
         found = []
         for match in string.Template.pattern.finditer(self.body):
             name = match.group("named") or match.group("braced")

@@ -8,10 +8,11 @@ This module holds retrieval policy only: embedding a question's keys once,
 the hub cap and the epsilon filter. Candidates travel as graph row ids and
 are scored against all keys at once by ``KnowledgeGraph.row_scores``, which
 leaves the scoring to the graph's index for the embedder (see ``kg_store``).
-Those scores rank a hub's expansion for the hub cap and pre-screen the
-epsilon filter; every triple the filter keeps is re-scored exactly by
-``_best_key``, so kept triples, keys and scores do not depend on the order
-of the vectorised sums.
+``gather_candidates`` scores each distinct row of a question's expansions in
+one call; those scores rank a hub's expansion for the hub cap and travel
+with the candidates to pre-screen the epsilon filter. Every triple the
+filter keeps is re-scored exactly by ``_best_key``, so kept triples, keys
+and scores do not depend on the order of the vectorised sums.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import numpy as np
 from .config import PipelineConfig
 from .embedding import RESCORE_TOLERANCE, Embedder, check_unit_rows, cosine_sim
 from .extraction import Key, KeySet
-from .kg_store import KnowledgeGraph, Triple, serialize_triple
+from .kg_store import KnowledgeGraph, Triple, distinct, serialize_triple
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,16 @@ def embed_keys(keys: KeySet, embedder: Embedder) -> KeyMatrix:
 
 @dataclass(frozen=True, eq=False)
 class CandidateRows:
-    """Sorted, unique row ids of one graph: the candidates of one question."""
+    """Sorted, unique row ids of one graph: the candidates of one question.
+
+    ``scores`` are the rows' ``KnowledgeGraph.row_scores`` against
+    ``key_matrix``, when the rows were scored against keys while gathered.
+    """
 
     graph: KnowledgeGraph
     rows: np.ndarray
+    scores: Optional[np.ndarray] = None
+    key_matrix: Optional[KeyMatrix] = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -81,23 +88,23 @@ def _best_key(
     return scoring_keys[best], scores[best]
 
 
-def _hub_cap(
-    g: KnowledgeGraph, expansion: np.ndarray, embedder: Embedder, key_matrix: np.ndarray, cap: int
-) -> np.ndarray:
+def _hub_cap(expansion: np.ndarray, rows: np.ndarray, scores: Optional[np.ndarray], cap: int) -> np.ndarray:
     """The ``cap`` rows of ``expansion`` whose triples score highest against the keys.
 
-    Let ``cut`` be the cap-th highest vectorised score. Rows scoring more
-    than ``RESCORE_TOLERANCE`` above it are in; those within the tolerance
-    of it fill the places left in row order, which is ``Triple.sort_key``
-    order. Scores that are mathematically equal can differ by a few ulps
-    with summation order, so ties at the cap break by ``sort_key``, not by
-    that noise; only rows within the tolerance of ``cut`` can be chosen
+    ``scores`` are the vectorised scores of the sorted ``rows``, which hold
+    every row of ``expansion``; None when there are no keys. Let ``cut`` be
+    the cap-th highest score of the expansion. Rows scoring more than
+    ``RESCORE_TOLERANCE`` above it are in; those within the tolerance of it
+    fill the places left in row order, which is ``Triple.sort_key`` order.
+    Scores that are mathematically equal can differ by a few ulps with
+    summation order, so ties at the cap break by ``sort_key``, not by that
+    noise; only rows within the tolerance of ``cut`` can be chosen
     differently than by exact ``_best_key`` scores. With no keys the
     lexicographically first triples win.
     """
-    if len(key_matrix) == 0:
+    if scores is None:
         return np.sort(expansion)[:cap]
-    scores = g.row_scores(expansion, embedder, key_matrix)
+    scores = scores[np.searchsorted(rows, expansion)]
     cut = np.partition(scores, len(expansion) - cap)[len(expansion) - cap]
     above = expansion[scores > cut + RESCORE_TOLERANCE]
     near = np.sort(expansion[np.abs(scores - cut) <= RESCORE_TOLERANCE])
@@ -114,21 +121,25 @@ def gather_candidates(
     """Union of neighborhood expansions over every resolvable key mention.
 
     Per-entity expansion is truncated at the hub cap, preferring the
-    highest-scoring triples against the key set (see ``_hub_cap``).
-    ``key_matrix`` is ``embed_keys(keys, embedder)``, embedded here if not given.
+    highest-scoring triples against the key set (see ``_hub_cap``). Every
+    distinct row of the expansions is scored once, and the kept rows carry
+    their scores. ``key_matrix`` is ``embed_keys(keys, embedder)``, embedded
+    here if not given.
     """
     if key_matrix is None:
         key_matrix = embed_keys(keys, embedder)
-    chosen = [np.empty(0, dtype=np.int32)]
+    expansions = [np.empty(0, dtype=np.int32)]
     for mention in keys.mentions():
         entity = g.resolve_entity(mention, embedder, cfg.resolve_threshold)
-        if entity is None:
-            continue
-        expansion = np.asarray(g.neighbors(entity, cfg.hops))
-        if len(expansion) > cfg.hub_cap:
-            expansion = _hub_cap(g, expansion, embedder, key_matrix.matrix, cfg.hub_cap)
-        chosen.append(expansion)
-    return CandidateRows(g, np.unique(np.concatenate(chosen)))
+        if entity is not None:
+            expansions.append(np.asarray(g.neighbors(entity, cfg.hops)))
+    rows = distinct(np.concatenate(expansions))
+    scores = g.row_scores(rows, embedder, key_matrix.matrix) if key_matrix.keys else None
+    chosen = [e if len(e) <= cfg.hub_cap else _hub_cap(e, rows, scores, cfg.hub_cap) for e in expansions]
+    kept = distinct(np.concatenate(chosen))
+    if scores is not None:
+        scores = scores[np.searchsorted(rows, kept)]
+    return CandidateRows(g, kept, scores, key_matrix)
 
 
 def filter_by_similarity(
@@ -141,8 +152,10 @@ def filter_by_similarity(
     """Keep candidates whose max similarity over keys strictly exceeds epsilon.
 
     Only candidates whose vectorised score lies above epsilon less
-    ``RESCORE_TOLERANCE`` are scored exactly by ``_best_key``. Triples given
-    other than as ``CandidateRows`` are first loaded into a graph of their own.
+    ``RESCORE_TOLERANCE`` are scored exactly by ``_best_key``. The
+    candidates' own scores serve when they were scored against this very
+    ``key_matrix``; otherwise the rows are scored here. Triples given other
+    than as ``CandidateRows`` are first loaded into a graph of their own.
     """
     if not isinstance(candidates, CandidateRows):
         graph = KnowledgeGraph(candidates)
@@ -153,7 +166,9 @@ def filter_by_similarity(
     g, rows = candidates.graph, candidates.rows
     kept: list[ScoredTriple] = []
     if scoring_keys:
-        scores = g.row_scores(rows, embedder, matrix)
+        scores = candidates.scores
+        if scores is None or candidates.key_matrix is not key_matrix:
+            scores = g.row_scores(rows, embedder, matrix)
         for row in rows[scores > cfg.epsilon - RESCORE_TOLERANCE]:
             triple = g.triple(row)
             best_key, best = _best_key(triple, embedder, scoring_keys, matrix)

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import random
+import re
 import sys
 import threading
 import time
@@ -21,6 +22,7 @@ from kgqa.kg_store import (
     GraphParseError,
     KnowledgeGraph,
     Triple,
+    distinct,
     load_graph,
     normalize,
 )
@@ -201,8 +203,25 @@ def reference_neighbors(triples, entity, hops):
 def test_neighbors_match_reference_bfs(raw, entity, hops):
     g = KnowledgeGraph([Triple.from_surface(*t) for t in raw])
     rows = g.neighbors(entity, hops)
+    assert rows.dtype == np.int32
     assert rows.tolist() == sorted(set(rows.tolist()))
     assert {g.triple(row) for row in rows} == reference_neighbors(g.triples, entity, hops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dtype=st.sampled_from([np.int32, np.int64]),
+    values=st.one_of(
+        st.lists(st.integers(-(2**31), 2**31 - 1), max_size=60),
+        st.lists(st.integers(0, 5), max_size=60),
+        st.integers(0, 30).map(lambda n: [7] * n),
+    ),
+)
+def test_distinct_matches_np_unique(dtype, values):
+    array = np.array(values, dtype=dtype)
+    got, want = distinct(array), np.unique(array)
+    assert got.dtype == want.dtype == dtype
+    assert got.tolist() == want.tolist()
 
 
 def reference_parse(lines):
@@ -474,6 +493,32 @@ class ReferenceCounts:
         return owner, bucket, dense[owner, bucket]
 
 
+class SignedCounts:
+    """Hashed token counts in which a token adds -1 to its bucket when a bit
+    of its md5 says so: additive, like a bag of tokens, but an entity that
+    shares buckets with a mention can score 0 or below."""
+
+    def __init__(self, dimension):
+        self.dimension = dimension
+
+    def _counts(self, text):
+        vec = np.zeros(self.dimension)
+        for token in re.findall(r"\w+", text.lower()):
+            digest = int(hashlib.md5(token.encode("utf-8")).hexdigest(), 16)
+            vec[digest % self.dimension] += -1.0 if (digest // self.dimension) % 2 else 1.0
+        return vec
+
+    def embed(self, text):
+        vec = self._counts(text)
+        norm = np.linalg.norm(vec)
+        return vec / norm if norm > 0 else vec
+
+    def sparse_counts(self, texts):
+        dense = np.array([self._counts(text) for text in texts]).reshape(len(texts), self.dimension)
+        owner, bucket = np.nonzero(dense)
+        return owner, bucket, dense[owner, bucket]
+
+
 _WORDS = ["Ash", "elm", "OAK", "ΟΔΟΣ", "οδοσ", "İzmir", "ash-elm", "x1", "!!", "Élan", "fir", "yew"]
 
 
@@ -501,7 +546,7 @@ def test_bulk_filled_table_matches_text_by_text_reference(seed, threads):
     reference = CountTable(graph, dimension)
     for text in range(len(graph._texts)):
         reference._fill(np.array([text]), md5.sparse_counts)
-    want_entities = reference.entity_scores(mention, md5)
+    want_entities = dense_entity_scores(reference, mention, md5)
     want_rows = reference.row_scores(graph, rows, keys, md5)
 
     embedder = CachingEmbedder(HashedEmbedder(dimension))
@@ -521,7 +566,7 @@ def test_bulk_filled_table_matches_text_by_text_reference(seed, threads):
         assert table._buckets[got].tobytes() == reference._buckets[want].tobytes()
         assert table._values[got].tobytes() == reference._values[want].tobytes()
     assert table._row_inverse_norms.tobytes() == reference._row_inverse_norms.tobytes()
-    assert table.entity_scores(mention, embedder).tobytes() == want_entities.tobytes()
+    assert dense_entity_scores(table, mention, embedder).tobytes() == want_entities.tobytes()
     for _, scores in results:
         assert scores.tobytes() == want_rows.tobytes()
 
@@ -533,6 +578,23 @@ def test_unsorted_sparse_counts_rejected(fixture_graph):
 
     with pytest.raises(ValueError, match="embedder contract: sparse_counts must be sorted"):
         fixture_graph.resolve_entity("Alex Ferguson OBE", Reversed(64), 0.5)
+
+
+def dense_entity_scores(table, vec, embedder):
+    """``table.entity_scores`` as one score per entity, 0 for an entity it
+    leaves out, once its ids are checked to be, in ascending order, those of
+    the entities that share a bucket with ``vec``."""
+    ids, scores = table.entity_scores(vec, embedder)
+    buckets = np.flatnonzero(vec)
+    sharing = [
+        entity
+        for entity in range(table._entities)
+        if np.isin(table._buckets[table._start[entity] : table._stop[entity]], buckets).any()
+    ]
+    assert ids.tolist() == sharing
+    dense = np.zeros(table._entities)
+    dense[ids] = scores
+    return dense
 
 
 def entity_major_scores(table, vec):
@@ -551,31 +613,34 @@ def _mention(rng):
     return " ".join(rng.choice(_WORDS) for _ in range(rng.randint(1, 4)))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     triples=st.integers(1, 60),
     dimension=st.sampled_from([4, 8, 64, 256]),
     zero=st.booleans(),
-    threshold=st.floats(-0.2, 1.0),
+    signed=st.booleans(),
+    threshold=st.one_of(st.sampled_from([-0.5, 0.0]), st.floats(-0.2, 1.0)),
 )
-@example(seed=0, triples=5, dimension=8, zero=True, threshold=-0.1)
-def test_postings_match_entity_major_scan(seed, triples, dimension, zero, threshold):
+@example(seed=0, triples=5, dimension=8, zero=True, signed=False, threshold=-0.1)
+def test_postings_match_entity_major_scan(seed, triples, dimension, zero, signed, threshold):
     # Bitwise-equal scores, so resolving is unchanged, ties and all; the
-    # zero vector of ``"!!!"`` scores every entity 0.
+    # zero vector of ``"!!!"`` scores every entity 0. Signed counts let
+    # entities that share a bucket score 0 or below the untouched ones.
     rng = random.Random(seed)
     graph = _random_graph(rng, triples)
-    embedder = HashedEmbedder(dimension)
+    embedder = SignedCounts(dimension) if signed else HashedEmbedder(dimension)
     mention = "!!!" if zero else _mention(rng)
     vec = embedder.embed(normalize(mention))
     table = graph._index(embedder)
-    got = table.entity_scores(vec, embedder)
+    got = dense_entity_scores(table, vec, embedder)
     assert got.tobytes() == entity_major_scores(table, vec).tobytes()
     if zero:
         assert got.tobytes() == np.zeros(graph.entity_count).tobytes()
     for probe in (_mention(rng), mention):
         probe_vec = embedder.embed(normalize(probe))
-        assert table.entity_scores(probe_vec, embedder).tobytes() == entity_major_scores(table, probe_vec).tobytes()
+        got = dense_entity_scores(table, probe_vec, embedder)
+        assert got.tobytes() == entity_major_scores(table, probe_vec).tobytes()
         assert graph.resolve_entity(probe, embedder, threshold) == reference_resolve(graph, probe, embedder, threshold)
 
 
@@ -599,9 +664,40 @@ def test_mention_sharing_no_bucket_scores_every_entity_zero(dimension, threshold
     mention = _unshared_token(graph, embedder)
     vec = embedder.embed(mention)
     table = graph._index(embedder)
-    scores = table.entity_scores(vec, embedder)
+    assert table.entity_scores(vec, embedder)[0].size == 0
+    scores = dense_entity_scores(table, vec, embedder)
     assert scores.tobytes() == np.zeros(graph.entity_count).tobytes()
     assert scores.tobytes() == entity_major_scores(table, vec).tobytes()
     expected = reference_resolve(graph, mention, embedder, threshold)
     assert graph.resolve_entity(mention, embedder, threshold) == expected
     assert (expected is None) == (threshold >= 0)
+
+
+@pytest.mark.parametrize("threshold", [-0.5, 0.0])
+def test_untouched_entity_outranks_negative_scores(threshold):
+    # Every entity sharing a bucket with the mention scores below zero, the
+    # smallest canonical among them, and one that shares none sorts between
+    # two that do. Below a negative threshold the smallest entity sharing no
+    # bucket wins at exactly 0; at a zero threshold nothing does.
+    embedder = SignedCounts(8)
+    graph = load_graph(["ash elm\tr\tbirch", "cedar elm\tr\tfir"])
+    names = [entity.canonical for entity in graph.entities]
+    vectors = [embedder.embed(name) for name in names]
+
+    def sharing(token):
+        return [i for i, vec in enumerate(vectors) if (vec * embedder.embed(token)).any()]
+
+    def fits(token):
+        touched = sharing(token)
+        negative = all(vectors[i] @ embedder.embed(token) < 0 for i in touched)
+        return touched[:1] == [0] and negative and touched != list(range(len(touched))) and len(touched) < len(names)
+
+    mention = next(token for token in (f"q{i}" for i in range(10_000)) if fits(token))
+    touched = sharing(mention)
+    smallest = min(set(range(len(names))) - set(touched))
+    assert 0 < smallest < touched[-1]
+    ids, _ = graph._index(embedder).entity_scores(embedder.embed(mention), embedder)
+    assert ids.tolist() == touched
+    expected = reference_resolve(graph, mention, embedder, threshold)
+    assert graph.resolve_entity(mention, embedder, threshold) == expected
+    assert expected == (graph.entities[smallest] if threshold < 0 else None)

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from kgqa.config import load_config, parse_config_lines
+from kgqa.kg_store import KnowledgeGraph
 from kgqa.llm import RES_TEMPLATE, RETHINK_TEMPLATE, ScriptRule, ScriptedBackend
 from kgqa.pipeline import (
     Backends,
@@ -32,6 +33,7 @@ OUT_OF_RANGE = [
     ("max_evidence_triples", 0),
     ("max_tokens", 0),
     ("embedding_dim", 0),
+    ("embedding_dim", 10**9),
     ("max_depth", -1),
     ("max_parse_retries", -1),
     ("exploration_temperature", -1.0),
@@ -101,7 +103,7 @@ class TestConfig:
             exploration_temperature=0.0,
             reasoning_temperature=0.0,
         )
-        PipelineConfig(epsilon=1.0, resolve_threshold=1.0)
+        PipelineConfig(epsilon=1.0, resolve_threshold=1.0, embedding_dim=65536)
 
     def test_out_of_range_file_value_rejected(self, tmp_path):
         path = tmp_path / "run.conf"
@@ -160,6 +162,20 @@ class TestRunPipeline:
         questions = [n["question"] for n in result.mind_map.to_records()]
         assert SUB_Q1 in questions and SUB_Q2 in questions
         assert len(result.keys.global_keys) == 1
+
+    @pytest.mark.parametrize("hub_cap", [512, 1])
+    def test_rows_scored_once_per_question(self, fixture_graph, golden_backends, hub_cap, monkeypatch):
+        # The hub cap and the epsilon filter read one scoring of the rows.
+        calls = []
+        row_scores = KnowledgeGraph.row_scores
+
+        def spy(self, *args):
+            calls.append(args)
+            return row_scores(self, *args)
+
+        monkeypatch.setattr(KnowledgeGraph, "row_scores", spy)
+        run_pipeline(BECKHAM_QUESTION, fixture_graph, PipelineConfig(hops=2, hub_cap=hub_cap), golden_backends)
+        assert len(calls) == 1
 
     def test_decomposition_disabled_single_node(self, fixture_graph, golden_backends):
         cfg = PipelineConfig(decomposition_enabled=False)

@@ -17,7 +17,7 @@ from kgqa.config import PipelineConfig
 from kgqa.embedding import RESCORE_TOLERANCE, CachingEmbedder, HashedEmbedder, cosine_sim
 from kgqa.extraction import EntityKey, KeySet, PairKey, SubgraphKey, TripleKey, build_key_set
 from kgqa.kg_store import DenseIndex, KnowledgeGraph, Triple, normalize
-from kgqa.retrieval import embed_keys, filter_by_similarity, gather_candidates, serialize_triple
+from kgqa.retrieval import CandidateRows, embed_keys, filter_by_similarity, gather_candidates, serialize_triple
 
 
 def eps(epsilon: float) -> PipelineConfig:
@@ -191,6 +191,45 @@ class TestGatherCandidates:
         cfg = PipelineConfig(hops=2)
         candidates = gather_candidates(fixture_graph, keys, HashedEmbedder(), cfg)
         assert set(candidates.triples()) == set(fixture_graph.triples)
+
+    def test_overlapping_capped_expansions_scored_once(self, monkeypatch):
+        # Two hubs share their spokes, so at two hops each one's expansion is
+        # every row; both are capped, yet each row is scored once, in one call.
+        spokes = [f"spoke {i}" for i in range(30)]
+        graph = KnowledgeGraph(Triple.from_surface(hub, "links", s) for hub in ("east", "west") for s in spokes)
+        scored = []
+        row_scores = KnowledgeGraph.row_scores
+
+        def spy(self, rows, embedder, key_matrix):
+            scored.append(rows.tolist())
+            return row_scores(self, rows, embedder, key_matrix)
+
+        monkeypatch.setattr(KnowledgeGraph, "row_scores", spy)
+        keys = build_key_set([EntityKey("east"), EntityKey("west"), TripleKey("west", "links", "spoke 7")])
+        cfg = PipelineConfig(hops=2, hub_cap=10)
+        embedder = HashedEmbedder()
+        key_matrix = embed_keys(keys, embedder)
+        candidates = gather_candidates(graph, keys, embedder, cfg, key_matrix)
+        assert scored == [list(range(graph.triple_count))]
+        assert len(candidates) == 10
+        filter_by_similarity(candidates, keys, embedder, cfg, key_matrix)
+        assert len(scored) == 1
+
+    def test_gathered_scores_ignored_for_another_key_matrix(self):
+        # The carried scores were taken against the keys they were gathered
+        # with; filtering against other keys scores the rows afresh.
+        graph = hub_graph(["ash elm", "oak yew", "birch fir"])
+        embedder = HashedEmbedder()
+        gathered_keys = build_key_set([EntityKey("hub"), TripleKey("hub", "links", "ash elm")])
+        other_keys = build_key_set([EntityKey("hub"), TripleKey("hub", "links", "oak yew")])
+        candidates = gather_candidates(graph, gathered_keys, embedder, PipelineConfig())
+        assert candidates.scores is not None
+        other = embed_keys(other_keys, embedder)
+        fresh = CandidateRows(graph, candidates.rows)
+        got = filter_by_similarity(candidates, other_keys, embedder, eps(0.7), other)
+        want = filter_by_similarity(fresh, other_keys, embedder, eps(0.7), other)
+        assert got == want
+        assert [s.triple.tail.canonical for s in got.kept] == ["oak yew"]
 
 
 # The per-triple scan that the blocked scorer replaced, kept as the reference.
