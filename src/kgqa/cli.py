@@ -51,7 +51,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     graph = load_graph_file(args.graph)
     backends = _build_backends(args.script, cfg)
-    with open(args.dataset, "r", encoding="utf-8") as f:
+    with open(args.dataset, "r", encoding="utf-8-sig") as f:
         dataset = load_dataset(f.readlines())
 
     def pipeline(question: str):
@@ -66,6 +66,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ("correct_rate", f"{report.correct_rate:.4f}"),
         ("missing_rate", f"{report.missing_rate:.4f}"),
         ("hallucination_rate", f"{report.hallucination_rate:.4f}"),
+        ("error_rate", f"{report.error_rate:.4f}"),
         ("mean_latency_s", f"{report.mean_latency:.4f}"),
     ]
     width = max(len(name) for name, _ in rows)

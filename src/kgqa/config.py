@@ -108,7 +108,7 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
     values: dict = {}
     config_path = path or os.environ.get(ENV_CONFIG)
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as f:
+        with open(config_path, "r", encoding="utf-8-sig") as f:
             values.update(parse_config_lines(f.readlines(), source=config_path))
     for name, kind in _KINDS.items():
         env_value = os.environ.get(ENV_PREFIX + name.upper())

@@ -133,12 +133,17 @@ class ExampleResult:
 
 @dataclass
 class MetricReport:
+    """Means over the examples. The three category rates partition them;
+    ``error_rate`` is the share whose pipeline raised, which also count as
+    hallucinations."""
+
     rouge_l: float
     em: float
     f1: float
     correct_rate: float
     missing_rate: float
     hallucination_rate: float
+    error_rate: float
     mean_latency: float
     per_example: list[ExampleResult] = field(default_factory=list)
 
@@ -218,6 +223,7 @@ def run_benchmark(
         correct_rate=counts[Category.CORRECT] / n,
         missing_rate=counts[Category.MISSING] / n,
         hallucination_rate=counts[Category.HALLUCINATION] / n,
+        error_rate=sum(r.error is not None for r in results) / n,
         mean_latency=sum(r.latency for r in results) / n,
         per_example=results,
     )

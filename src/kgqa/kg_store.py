@@ -2,7 +2,10 @@
 
 The graph is loaded once from a TSV stream (``head<TAB>relation<TAB>tail``
 per line, ``#`` comments and blank lines ignored) and is read-only after
-that, so it is safe to share across threads.
+that, so it is safe to share across threads. The load is one streaming
+pass: each line is split once, and a triple line's stripped fields are
+interned as ids of its distinct surfaces and relations; each distinct text
+is normalised once, after the pass.
 
 Storage is columnar: int32 columns of ids into one pool of distinct texts.
 A row holds its head, relation and tail, and the surfaces of its head and
@@ -29,7 +32,7 @@ import weakref
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -109,11 +112,6 @@ def serialize_triple(t: Triple) -> str:
     return f"{t.head.surface} {t.relation} {t.tail.surface}"
 
 
-# A row's fields before interning: head canonical, head surface, relation,
-# tail canonical, tail surface.
-_Fields = tuple[str, str, str, str, str]
-
-
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """The concatenation of ``arange(start, stop)`` over the pairs."""
     lengths = stops - starts
@@ -130,14 +128,6 @@ def distinct(values: np.ndarray) -> np.ndarray:
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     return ordered[first]
-
-
-def _ranked(texts: list[str]) -> tuple[list[str], np.ndarray]:
-    """``texts`` sorted, and the sorted position of each text by its old index."""
-    order = sorted(range(len(texts)), key=texts.__getitem__)
-    rank = np.empty(len(texts), dtype=np.int32)
-    rank[order] = np.arange(len(texts), dtype=np.int32)
-    return [texts[i] for i in order], rank
 
 
 # Triples ``DenseIndex`` embeds and scores per matrix product: 1 MB at 256
@@ -161,41 +151,46 @@ class KnowledgeGraph:
     """An indexed, deduplicated set of triples with undirected adjacency."""
 
     def __init__(self, triples: Iterable[Triple]):
-        self._build(
-            (t.head.canonical, t.head.surface, t.relation, t.tail.canonical, t.tail.surface)
-            for t in triples
-        )
-
-    @classmethod
-    def _from_fields(cls, fields: Iterable[_Fields]) -> "KnowledgeGraph":
-        graph = cls.__new__(cls)
-        graph._build(fields)
-        return graph
-
-    def _build(self, fields: Iterable[_Fields]) -> None:
-        canonicals: dict[str, int] = {}
-        surfaces: dict[str, int] = {}
+        # A Triple's canonical need not be normalize(surface), so an end is
+        # keyed by both.
+        ends: dict[tuple[str, str], int] = {}
         relations: dict[str, int] = {}
-        columns = [array("i") for _ in range(5)]
-        head, head_surface, relation, tail, tail_surface = (c.append for c in columns)
-        for hc, hs, rel, tc, ts in fields:
-            head(canonicals.setdefault(hc, len(canonicals)))
-            head_surface(surfaces.setdefault(hs, len(surfaces)))
-            relation(relations.setdefault(rel, len(relations)))
-            tail(canonicals.setdefault(tc, len(canonicals)))
-            tail_surface(surfaces.setdefault(ts, len(surfaces)))
-        canonical_texts, canonical_rank = _ranked(list(canonicals))
-        relation_texts, relation_rank = _ranked(list(relations))
-        self._entity_ids = {c: i for i, c in enumerate(canonical_texts)}
-        # One pool of distinct texts: the canonicals, ranked, so that an
+        columns = [array("i") for _ in range(3)]
+        head, relation, tail = (c.append for c in columns)
+        for t in triples:
+            head(ends.setdefault((t.head.canonical, t.head.surface), len(ends)))
+            relation(relations.setdefault(t.relation, len(relations)))
+            tail(ends.setdefault((t.tail.canonical, t.tail.surface), len(ends)))
+        self._build([c for c, _ in ends], [s for _, s in ends], list(relations), *columns)
+
+    def _build(
+        self,
+        canonicals: Sequence[str],
+        surfaces: Iterable[str],
+        relations: Sequence[str],
+        head: array,
+        relation: array,
+        tail: array,
+    ) -> None:
+        """Index the rows given as ``head``, ``relation`` and ``tail`` id
+        columns. End id ``i`` is the entity ``canonicals[i]`` shown as the
+        ``i``-th of ``surfaces``; the ends are distinct and in order of first
+        appearance, head before tail. A relation id indexes ``relations``,
+        whose texts may repeat."""
+        self._entity_ids = {c: i for i, c in enumerate(sorted(set(canonicals)))}
+        relation_texts = sorted(set(relations))
+        ranks = {text: i for i, text in enumerate(relation_texts)}
+        relation_rank = np.array([ranks[text] for text in relations], dtype=np.int32)
+        # One pool of distinct texts: the canonicals, sorted, so that an
         # entity's id is its canonical's; then the other surfaces and relations.
         pool = dict(self._entity_ids)
-        surface_text = np.array([pool.setdefault(s, len(pool)) for s in surfaces], dtype=np.int32)
+        end_entity = np.array([self._entity_ids[c] for c in canonicals], dtype=np.int32)
+        end_surface = np.array([pool.setdefault(s, len(pool)) for s in surfaces], dtype=np.int32)
         relation_text = np.array([pool.setdefault(r, len(pool)) for r in relation_texts], dtype=np.int32)
         self._texts = list(pool)
-        h, hs, r, t, ts = (np.array(c, dtype=np.int32) for c in columns)
-        h, r, t = canonical_rank[h], relation_rank[r], canonical_rank[t]
-        hs, ts = surface_text[hs], surface_text[ts]
+        head, relation, tail = (np.frombuffer(c, dtype=np.int32) for c in (head, relation, tail))
+        h, hs, r = end_entity[head], end_surface[head], relation_rank[relation]
+        t, ts = end_entity[tail], end_surface[tail]
         # A stable sort keeps the first line of each duplicate group first.
         order = np.lexsort((t, r, h))
         h, hs, r, t, ts = (c[order] for c in (h, hs, r, t, ts))
@@ -205,16 +200,19 @@ class KnowledgeGraph:
         # Every column now holds text ids; the relations' ranks served the sort.
         self._head, self._head_surface, self._relation = h, hs, relation_text[r]
         self._tail, self._tail_surface = t, ts
+        # CSR adjacency: each entity's rows, ascending; a self-loop once. The
+        # rows' ends, head before tail, sort stably by entity, so each
+        # entity's run lists its rows in order and opens with its first end.
+        # A self-loop's tail end takes the id past the last entity, sorting last.
+        n = self.entity_count
+        row_ends = np.stack((h, np.where(h != t, t, n)), axis=1).ravel()
+        self._adjacency_start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_ends, minlength=n + 1)[:n], out=self._adjacency_start[1:])
+        order = np.argsort(row_ends, kind="stable")[: self._adjacency_start[-1]]
+        self._adjacent_rows = order.astype(np.int32)
+        self._adjacent_rows //= 2
         # An entity shows the surface of its first appearance, head before tail.
-        _, first_seen = np.unique(np.stack((h, t), axis=1).ravel(), return_index=True)
-        self._entity_surface = np.stack((hs, ts), axis=1).ravel()[first_seen]
-        # CSR adjacency: each entity's rows, ascending; a self-loop once.
-        rows = np.arange(len(h), dtype=np.int32)
-        ends = np.concatenate((h, t[h != t]))
-        owners = np.concatenate((rows, rows[h != t]))
-        self._adjacent_rows = owners[np.lexsort((owners, ends))]
-        self._adjacency_start = np.zeros(self.entity_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ends, minlength=self.entity_count), out=self._adjacency_start[1:])
+        self._entity_surface = np.stack((hs, ts), axis=1).ravel()[order[self._adjacency_start[:-1]]]
         # Per embedder: a CountTable or a DenseIndex, built on first use and
         # dropped with the embedder.
         self._indexes: weakref.WeakKeyDictionary[Embedder, "CountTable | DenseIndex"]
@@ -545,42 +543,52 @@ class DenseIndex:
         return scores
 
 
-class _Normalized(dict):
-    """``normalize(text)`` by ``text``, computed once per distinct text."""
-
-    def __missing__(self, text: str) -> str:
-        self[text] = value = normalize(text)
-        return value
-
-
-def _parse(lines: Iterable[str]) -> Iterator[_Fields]:
-    """The fields of each triple line; raises GraphParseError on a bad line."""
-    normalized = _Normalized()
-    for line_number, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise GraphParseError(
-                line_number, f"expected 3 tab-separated fields, got {len(fields)}"
-            )
-        head, relation, tail = fields[0].strip(), fields[1].strip(), fields[2].strip()
-        if not head or not relation or not tail:
-            raise GraphParseError(line_number, "empty field in triple")
-        yield normalized[head], head, normalized[relation], normalized[tail], tail
-
-
 def load_graph(lines: Iterable[str]) -> KnowledgeGraph:
-    """Parse a line-oriented TSV stream into a KnowledgeGraph.
+    """Parse a line-oriented TSV stream into a KnowledgeGraph, in one pass.
 
     Duplicate lines deduplicate, the first line's surfaces kept; an empty
     stream yields an empty graph. Raises GraphParseError on a line with the
-    wrong field count.
+    wrong field count or an empty field.
     """
-    return KnowledgeGraph._from_fields(_parse(lines))
+    surfaces: dict[str, int] = {}
+    relations: dict[str, int] = {}
+    columns = [array("i") for _ in range(3)]
+    head, relation, tail = (c.append for c in columns)
+    surface_id, relation_id = surfaces.get, relations.get
+    for line_number, raw in enumerate(lines, start=1):
+        # Line ends are whitespace: ``strip`` drops them, and they hold no tab.
+        fields = raw.split("\t")
+        if len(fields) == 3:
+            h, r, t = fields[0].strip(), fields[1].strip(), fields[2].strip()
+            # The line's first non-blank character is the head's first.
+            if h and r and t and h[0] != "#":
+                i = surface_id(h)
+                if i is None:
+                    i = surfaces[h] = len(surfaces)
+                head(i)
+                i = relation_id(r)
+                if i is None:
+                    i = relations[r] = len(relations)
+                relation(i)
+                i = surface_id(t)
+                if i is None:
+                    i = surfaces[t] = len(surfaces)
+                tail(i)
+                continue
+        # Any other line is skipped when blank or a comment, else an error.
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        if len(fields) != 3:
+            raise GraphParseError(line_number, f"expected 3 tab-separated fields, got {len(fields)}")
+        raise GraphParseError(line_number, "empty field in triple")
+    # Normalised once per distinct text.
+    graph = KnowledgeGraph.__new__(KnowledgeGraph)
+    graph._build(list(map(normalize, surfaces)), surfaces, list(map(normalize, relations)), *columns)
+    return graph
 
 
 def load_graph_file(path: str) -> KnowledgeGraph:
-    with open(path, "r", encoding="utf-8") as f:
+    """``load_graph`` over a UTF-8 file; a leading byte-order mark is dropped."""
+    with open(path, "r", encoding="utf-8-sig") as f:
         return load_graph(f)

@@ -474,7 +474,7 @@ def parse_script(lines: "list[str]", source: str = "<script>") -> list[ScriptRul
 
 
 def load_script(path: str) -> ScriptedBackend:
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         return ScriptedBackend(parse_script(f.readlines(), source=path))
 
 

@@ -143,6 +143,7 @@ class TestBench:
         out = capsys.readouterr().out
         assert "correct_rate" in out
         assert "1.0000" in out
+        assert "error_rate          0.0000" in out.splitlines()
         records = [json.loads(l) for l in report_path.read_text().splitlines()]
         assert records[0]["category"] == "Correct"
         for record in records:
@@ -173,7 +174,17 @@ class TestBench:
             parts = line.split()
             if parts and parts[0].endswith("_rate"):
                 rates[parts[0]] = float(parts[1])
+        # error_rate is not a category: an error also counts as a hallucination.
+        assert rates.pop("error_rate") == 0.0
+        assert set(rates) == {"correct_rate", "missing_rate", "hallucination_rate"}
         assert sum(rates.values()) == pytest.approx(1.0)
+
+    def test_dataset_with_byte_order_mark(self, tmp_path, capsys):
+        dataset = tmp_path / "bom.jsonl"
+        dataset.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "beckham_dataset.jsonl").read_bytes())
+        assert main(["bench", "--graph", GRAPH, "--dataset", str(dataset), "--script", SCRIPT]) == 0
+        out = capsys.readouterr().out
+        assert "correct_rate        1.0000" in out.splitlines()
 
 
 class TestBadConfig:

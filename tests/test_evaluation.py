@@ -181,6 +181,7 @@ class TestRunBenchmark:
         assert report.missing_rate == 0.5
         assert report.hallucination_rate == 0.5
         assert report.correct_rate == 0.0
+        assert report.error_rate == 0.0
 
     def test_failing_question_is_hallucination_note(self):
         def broken(question: str) -> ReasoningTrace:
@@ -190,6 +191,21 @@ class TestRunBenchmark:
         report = run_benchmark(dataset, broken)
         assert report.hallucination_rate == 1.0
         assert report.per_example[0].error is not None
+
+    def test_error_rate_counts_raised_examples(self):
+        answers = fake_pipeline({"q0?": "gold", "q1?": "I don't know", "q3?": "bad"})
+
+        def flaky(question: str) -> ReasoningTrace:
+            if question == "q2?":
+                raise RuntimeError("backend down")
+            return answers(question)
+
+        dataset = [QAExample(str(i), f"q{i}?", ("gold",)) for i in range(4)]
+        report = run_benchmark(dataset, flaky)
+        assert report.error_rate == 0.25
+        assert [r.error is not None for r in report.per_example] == [False, False, True, False]
+        # An error still counts as a hallucination; the categories partition.
+        assert (report.correct_rate, report.missing_rate, report.hallucination_rate) == (0.25, 0.25, 0.5)
 
     def test_rates_partition_on_fuzzed_outputs(self):
         rng = random.Random(31)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ScaledEmbedder, expand, make_embedder, reference_counts
+from conftest import FIXTURES, ScaledEmbedder, expand, make_embedder, reference_counts
 from kgqa.embedding import CachingEmbedder, HashedEmbedder, cosine_sim, embed_matrix
 from kgqa.kg_store import (
     CountTable,
@@ -24,6 +24,7 @@ from kgqa.kg_store import (
     Triple,
     distinct,
     load_graph,
+    load_graph_file,
     normalize,
 )
 
@@ -72,6 +73,31 @@ def test_load_graph_malformed_line_reports_number():
 def test_load_graph_skips_comments_and_blanks():
     g = load_graph(["# comment", "", "a\tb\tc"])
     assert g.triple_count == 1
+
+
+def test_load_graph_reads_a_one_shot_stream():
+    lines = ["# comment", "", "Alpha\tr\tBeta\n", "  \n", "alpha\tr\tgamma", "\t#x\ty\tz", "bad\tline\n"]
+    with pytest.raises(GraphParseError) as exc:
+        load_graph(line for line in lines)
+    assert exc.value.line_number == 7
+    g = load_graph(line for line in lines[:-1])
+    assert g.digest() == load_graph(lines[:-1]).digest()
+    assert [_spelled(t) for t in g.triples] == [
+        ("alpha", "Alpha", "r", "beta", "Beta"),
+        ("alpha", "alpha", "r", "gamma", "gamma"),
+    ]
+
+
+def test_graph_file_with_byte_order_mark(tmp_path):
+    bom = b"\xef\xbb\xbf"
+    # The fixture opens with a comment line.
+    commented = tmp_path / "commented.tsv"
+    commented.write_bytes(bom + (FIXTURES / "beckham_graph.tsv").read_bytes())
+    fixture = load_graph_file(str(FIXTURES / "beckham_graph.tsv"))
+    assert load_graph_file(str(commented)).digest() == fixture.digest()
+    first_triple = tmp_path / "first_triple.tsv"
+    first_triple.write_bytes(bom + "Alice\tknows\tBob\r\n".encode("utf-8"))
+    assert load_graph_file(str(first_triple)).resolve_entity("Alice") == EntityId("alice", "Alice")
 
 
 def test_triples_sorted_by_canonical_key():
@@ -208,6 +234,23 @@ def test_neighbors_match_reference_bfs(raw, entity, hops):
     assert {g.triple(row) for row in rows} == reference_neighbors(g.triples, entity, hops)
 
 
+def test_adjacency_and_entity_surfaces_match_reference_on_hubs():
+    # About 150 rows per entity: an unstable sort of the rows' ends would
+    # misorder a hub's rows or pick a later surface than its first.
+    rng = random.Random(5)
+    names = [f"Node{i}" for i in range(40)]
+    lines = [
+        f"{rng.choice(names)}\tr{rng.randrange(3)}\t{rng.choice([rng.choice(names), rng.choice(names).upper()])}"
+        for _ in range(3000)
+    ]
+    g = load_graph(lines)
+    rows, entities, _ = reference_graph(reference_parse(lines))
+    assert [_spelled_entity(e) for e in g.entities] == [_spelled_entity(e) for e in entities]
+    for e in g.entities:
+        want = [i for i, t in enumerate(rows) if e.canonical in (t.head.canonical, t.tail.canonical)]
+        assert g.neighbors(e, 1).tolist() == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     dtype=st.sampled_from([np.int32, np.int64]),
@@ -276,6 +319,12 @@ _name = st.sampled_from(
 _line = st.one_of(
     st.tuples(_name, st.sampled_from(["Rel", "rel", " r e l ", "ΣΑΣ"]), _name).map("\t".join),
     st.sampled_from(["", "   ", "# comment", "  # note", "a\tb", "a\t \tc", "a\tb\tc\td", "x\ty\tz\r\n"]),
+    # Boundaries of the loader's triple test: a comment behind blanks or
+    # an empty head, a ``#`` past the head, blank fields, a trailing tab or
+    # carriage return, a blank head prefix, and Unicode blanks.
+    st.sampled_from(
+        ["  #x\ty\tz", "\t#x\ty\tz", "x\t#y\tz", " \t \t ", "x\ty\tz\t", "x\ty\tz\r", " x\ty\tz", "\x1cx\ty\t\u3000"]
+    ),
 )
 
 
@@ -296,6 +345,23 @@ def test_columnar_loader_matches_reference(lines):
         assert [_spelled_entity(e) for e in g.entities] == [_spelled_entity(e) for e in entities]
         assert g.entity_count == len(entities)
         assert g.digest() == digest
+
+
+def test_triples_sharing_a_surface_under_two_canonicals_match_reference():
+    # A Triple's canonical need not be normalize(surface).
+    x_as_a, x_as_b = EntityId("a", "X"), EntityId("b", "X")
+    triples = [
+        Triple(x_as_b, "r", x_as_a),
+        Triple(x_as_a, "r", EntityId("c", "Y")),
+        Triple(EntityId("c", "X"), "s", x_as_b),
+        Triple(x_as_a, "r", EntityId("c", "Z")),
+    ]
+    rows, entities, digest = reference_graph(triples)
+    g = KnowledgeGraph(triples)
+    assert [_spelled(t) for t in g.triples] == [_spelled(t) for t in rows]
+    assert [_spelled_entity(e) for e in g.entities] == [("a", "X"), ("b", "X"), ("c", "Y")]
+    assert [_spelled_entity(e) for e in g.entities] == [_spelled_entity(e) for e in entities]
+    assert g.digest() == digest
 
 
 def reference_resolve(g, mention, embedder, threshold):

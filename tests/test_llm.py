@@ -32,6 +32,8 @@ from kgqa.llm import (
 from kgqa.mindmap import decompose_question, single_node_map
 from kgqa.reasoning import answer_node, rethink_node, verify_answer
 
+from conftest import FIXTURES
+
 
 def test_res_template_section_order():
     text = RES_TEMPLATE.render(reasoning="R", knowledge="K", question="Q")
@@ -140,6 +142,12 @@ def test_parse_script_round_trip():
     )
     assert len(rules) == 3
     assert rules[1].patterns == ("a", "b")
+
+
+def test_load_script_accepts_byte_order_mark(tmp_path):
+    path = tmp_path / "script.jsonl"
+    path.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "beckham_script.jsonl").read_bytes())
+    assert llm.load_script(str(path)).rules == llm.load_script(str(FIXTURES / "beckham_script.jsonl")).rules
 
 
 @pytest.mark.parametrize(

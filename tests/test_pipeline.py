@@ -111,6 +111,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="max_parse_retries"):
             load_config(str(path))
 
+    def test_file_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_bytes(b"\xef\xbb\xbfhops = 2\n")
+        assert load_config(str(path)).hops == 2
+
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             PipelineConfig().epsilon = 0.5  # type: ignore[misc]
