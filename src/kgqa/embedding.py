@@ -28,7 +28,7 @@ import hashlib
 import re
 import threading
 from array import array
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -46,7 +46,6 @@ UNIT_NORM_TOLERANCE = 1e-6
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
 
-@runtime_checkable
 class Embedder(Protocol):
     dimension: int
 

@@ -9,7 +9,9 @@ on the exact call sequence and temperatures.
 
 Calls whose prompts are all known up front (one mind-map level's
 decompositions, the two key extractions) are sent together by
-``fan_out``, on one shared pool of ``FAN_OUT_THREADS`` threads.
+``fan_out``, on one shared pool of ``FAN_OUT_THREADS`` threads; each call
+keeps warnings of its own, merged in item order as one loop would leave
+them.
 """
 from __future__ import annotations
 
@@ -25,8 +27,7 @@ import time
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Optional, Protocol, TypeVar, runtime_checkable
+from typing import Callable, Iterable, Optional, Protocol, TypeVar
 
 import requests
 
@@ -61,23 +62,13 @@ class PromptTemplate:
     body: str
     exploratory: bool = False
 
-    @cached_property
-    def slots(self) -> tuple[str, ...]:
-        """The body's distinct slot names in order of first use, parsed once."""
-        found = []
-        for match in string.Template.pattern.finditer(self.body):
-            name = match.group("named") or match.group("braced")
-            if name and name not in found:
-                found.append(name)
-        return tuple(found)
-
     def render(self, **bindings: str) -> str:
-        missing = [s for s in self.slots if s not in bindings]
-        if missing:
+        try:
+            return string.Template(self.body).substitute(bindings)
+        except KeyError as exc:
             raise PromptBindingError(
-                f"template '{self.name}' missing binding for slot '{missing[0]}'"
-            )
-        return string.Template(self.body).substitute(bindings)
+                f"template '{self.name}' missing binding for slot '{exc.args[0]}'"
+            ) from None
 
 
 _DEC_HEAD = (
@@ -264,12 +255,12 @@ class ScriptMissError(BackendError):
     """No scripted rule matched the prompt."""
 
 
-@runtime_checkable
 class LLMBackend(Protocol):
-    """A backend offers ``generate(request)``, returning the reply text.
+    """A backend offers ``generate(request)``, returning the reply text; the
+    type is structural, and nothing checks it at run time.
 
-    ``generate`` must be thread-safe: ``fan_out`` calls it from several
-    threads at once. A backend may also declare the class attribute
+    ``generate`` must be thread-safe: one ``fan_out`` may call it from
+    several threads at once. A backend may also declare the class attribute
     ``sequential = True``; ``fan_out`` then makes its calls one at a time,
     in item order, on the calling thread. That suits a backend that answers
     in-process, where there is no wait to overlap and the order of calls
@@ -303,8 +294,14 @@ def _shared_pool() -> ThreadPoolExecutor:
         return _pool
 
 
-def fan_out(backend: LLMBackend, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
-    """``[fn(item) for item in items]``, with the calls overlapped.
+def fan_out(
+    backend: LLMBackend,
+    fn: Callable[[_T, list[str]], _R],
+    items: Iterable[_T],
+    warnings: Optional[list[str]],
+) -> list[_R]:
+    """``[fn(item, job_warnings) for item in items]``, with the calls
+    overlapped; each job appends to a warnings list of its own.
 
     The first item runs on the calling thread and the rest are handed to
     the shared pool, unless ``backend`` is ``sequential`` or there is one
@@ -315,26 +312,32 @@ def fan_out(backend: LLMBackend, fn: Callable[[_T], _R], items: Iterable[_T]) ->
     item order on the calling thread. Returns or raises only after every
     started job has finished; a failure raises the first failing job's
     exception in item order, and jobs after it that have not started never
-    run.
+    run. The jobs' warnings are then appended to ``warnings`` (unless it is
+    None) in item order, up to and including the first failing job's: what
+    one loop over the items appending to ``warnings`` would leave.
 
     A job must never call ``fan_out`` itself: its inner jobs could wait for
     pool threads held by outer jobs, and the shared pool would deadlock.
     """
     items = list(items)
-    if len(items) < 2 or getattr(backend, "sequential", False) or _instant.get(id(backend)) is backend:
-        return [fn(item) for item in items]
-    pool = _shared_pool()
+    logs: list[list[str]] = [[] for _ in items]
+    results: list[_R] = []
     futures: list[Future] = []
     try:
-        for item in items[1:]:
-            futures.append(pool.submit(fn, item))
+        if len(items) < 2 or getattr(backend, "sequential", False) or _instant.get(id(backend)) is backend:
+            for item, log in zip(items, logs):
+                results.append(fn(item, log))
+            return results
+        pool = _shared_pool()
+        for item, log in zip(items[1:], logs[1:]):
+            futures.append(pool.submit(fn, item, log))
         start = time.perf_counter()
-        results = [fn(items[0])]
+        results.append(fn(items[0], logs[0]))
         first_s = time.perf_counter() - start
         pooled = False
-        for item, future in zip(items[1:], futures):
+        for item, log, future in zip(items[1:], logs[1:], futures):
             if future.cancel():
-                results.append(fn(item))
+                results.append(fn(item, log))
             else:
                 pooled = True
                 results.append(future.result())
@@ -347,35 +350,11 @@ def fan_out(backend: LLMBackend, fn: Callable[[_T], _R], items: Iterable[_T]) ->
         # A cancelled job counts as done only once a pool thread dequeues it,
         # so wait for the started jobs alone.
         wait([future for future in futures if not future.cancel()])
-
-
-def fan_out_warned(
-    backend: LLMBackend,
-    fn: Callable[[_T, list[str]], _R],
-    items: Iterable[_T],
-    warnings: Optional[list[str]],
-) -> list[_R]:
-    """``fan_out`` of ``fn(item, job_warnings)``, each job with a warnings
-    list of its own. They are appended to ``warnings`` in item order, up to
-    and including the first failing job's, whether or not a job fails: what
-    one loop over the items appending to ``warnings`` would leave."""
-    items = list(items)
-    logs: list[list[str]] = [[] for _ in items]
-    finished = [False] * len(items)
-
-    def job(index: int) -> _R:
-        result = fn(items[index], logs[index])
-        finished[index] = True
-        return result
-
-    try:
-        return fan_out(backend, job, range(len(items)))
-    finally:
+        # Results are collected in item order, so the first job without one
+        # is the one that failed.
         if warnings is not None:
-            for log, done in zip(logs, finished):
+            for log in logs[: len(results) + 1]:
                 warnings.extend(log)
-                if not done:
-                    break
 
 
 def ask(backend: LLMBackend, template: PromptTemplate, cfg: PipelineConfig, **bindings: str) -> str:

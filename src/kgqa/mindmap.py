@@ -1,8 +1,9 @@
 """Tree-structured mind map built by recursive top-down question decomposition.
 
 Each node carries (question, depth, state). Decomposition recurses until
-every leaf is an End node or the depth cap is hit; a completed map is
-immutable in practice and traversed bottom-up for reasoning.
+every leaf is an End node or the depth cap is hit; with decomposition
+switched off the map is the question alone. A completed map is immutable
+in practice and traversed bottom-up for reasoning.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Iterator, Optional
 
 from .config import PipelineConfig
 from .kg_store import normalize
-from .llm import DEC_TEMPLATE, LLMBackend, ask, fan_out_warned
+from .llm import DEC_TEMPLATE, LLMBackend, ask, fan_out
 
 
 class NodeState(Enum):
@@ -145,11 +146,6 @@ def decompose_question(
     return [(question.strip(), NodeState.END)]
 
 
-def single_node_map(question: str) -> MindMap:
-    root = MindMapNode(id="0", question=question.strip(), depth=0, state=NodeState.END)
-    return MindMap(nodes={"0": root}, root="0")
-
-
 def build_mind_map(
     question: str,
     backend: LLMBackend,
@@ -158,11 +154,14 @@ def build_mind_map(
 ) -> MindMap:
     """Recursively decompose ``question`` into a mind map.
 
-    Nodes at the depth cap are forced to End. A decomposition that returns a
-    single sub-question identical to its parent makes no progress and ends
-    the branch. The nodes of one level are decomposed together (see
-    ``fan_out``); their children are added in node order, then child order,
-    so ids, node order and warnings do not depend on which reply came first.
+    With ``decomposition_enabled`` off or a ``max_depth`` of 0, the map is
+    the root alone, an End node, and no call is made; a blank question fails
+    either way. Nodes at the depth cap are forced to End. A decomposition
+    that returns a single sub-question identical to its parent makes no
+    progress and ends the branch. The nodes of one level are decomposed
+    together (see ``fan_out``); their children are added in node order, then
+    child order, so ids, node order and warnings do not depend on which
+    reply came first.
     """
     if not question.strip():
         raise ValueError("question must be non-empty")
@@ -172,9 +171,9 @@ def build_mind_map(
     def decompose(node: MindMapNode, job_warnings: list[str]) -> list[tuple[str, NodeState]]:
         return decompose_question(node.question, backend, cfg, job_warnings)
 
-    level = [root] if cfg.max_depth > 0 else []
+    level = [root] if cfg.decomposition_enabled and cfg.max_depth > 0 else []
     while level:
-        replies = fan_out_warned(backend, decompose, level, warnings)
+        replies = fan_out(backend, decompose, level, warnings)
         next_level: list[MindMapNode] = []
         for node, subs in zip(level, replies):
             if len(subs) == 1 and normalize(subs[0][0]) == normalize(node.question):

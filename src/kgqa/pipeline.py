@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional, TextIO
 
 from .config import PipelineConfig
-from .embedding import CachingEmbedder, Embedder, HashedEmbedder
+from .embedding import Embedder, HashedEmbedder
 from .extraction import (
     KeySet,
     build_key_set,
@@ -20,8 +20,8 @@ from .extraction import (
     serialize_key,
 )
 from .kg_store import KnowledgeGraph
-from .llm import LLMBackend, fan_out_warned
-from .mindmap import MindMap, build_mind_map, single_node_map
+from .llm import LLMBackend, fan_out
+from .mindmap import MindMap, build_mind_map
 from .reasoning import ReasoningAborted, ReasoningTrace, solve
 from .retrieval import RetrievedTripleSet, embed_keys, filter_by_similarity, gather_candidates
 
@@ -34,8 +34,8 @@ class Backends:
 
     @classmethod
     def single(cls, backend: LLMBackend, dimension: int = 256) -> "Backends":
-        """One backend for answering and verifying, with a cached hashed embedder."""
-        return cls(res=backend, ver=backend, embedder=CachingEmbedder(HashedEmbedder(dimension)))
+        """One backend for answering and verifying, with a hashed embedder."""
+        return cls(res=backend, ver=backend, embedder=HashedEmbedder(dimension))
 
 
 class PipelineStageError(RuntimeError):
@@ -78,10 +78,7 @@ def run_pipeline(
     warnings: list[str] = []
 
     try:
-        if cfg.decomposition_enabled:
-            mind_map = build_mind_map(question, backends.res, cfg, warnings)
-        else:
-            mind_map = single_node_map(question)
+        mind_map = build_mind_map(question, backends.res, cfg, warnings)
     except Exception as exc:
         raise PipelineStageError("decomposition", exc, warnings) from exc
 
@@ -91,7 +88,7 @@ def run_pipeline(
         extractors = [extract_local_keys]
         if cfg.global_keys_enabled:
             extractors.append(extract_global_keys)
-        keys = fan_out_warned(
+        keys = fan_out(
             backends.res,
             lambda extract, job_warnings: extract(mind_map, backends.res, cfg, job_warnings),
             extractors,

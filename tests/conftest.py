@@ -11,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kgqa.config import PipelineConfig
 from kgqa.embedding import CachingEmbedder, HashedEmbedder
 from kgqa.kg_store import KnowledgeGraph, load_graph_file
 from kgqa.llm import ScriptRule, ScriptedBackend, parse_script
+from kgqa.mindmap import build_mind_map
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -40,6 +42,12 @@ def golden_rules():
 def golden_backend() -> ScriptedBackend:
     # fresh backend per test so recorded requests start empty
     return ScriptedBackend(golden_rules())
+
+
+def one_node_map(question):
+    """The mind map of ``question`` with decomposition off: the root alone.
+    Its backend has no rules, so any LLM call would fail."""
+    return build_mind_map(question, ScriptedBackend([]), PipelineConfig(decomposition_enabled=False))
 
 
 def reference_counts(text, dimension):

@@ -19,8 +19,8 @@ from kgqa.extraction import (
     serialize_key,
 )
 from kgqa.llm import ScriptRule, ScriptedBackend
-from kgqa.mindmap import single_node_map
 
+from conftest import one_node_map
 
 CFG = PipelineConfig()
 
@@ -84,17 +84,17 @@ class TestParseLocalReply:
 
 class TestExtractLocal:
     def test_beckham_keys(self, golden_backend):
-        m = single_node_map("Which football manager recruited David Beckham?")
+        m = one_node_map("Which football manager recruited David Beckham?")
         keys = extract_local_keys(m, golden_backend, CFG)
         assert EntityKey("David Beckham") in keys
         assert TripleKey("manager", "recruited", "David Beckham") in keys
 
     def test_empty_reply_yields_no_keys(self):
-        m = single_node_map("Q?")
+        m = one_node_map("Q?")
         assert extract_local_keys(m, backend_for("extract the entities", ""), CFG) == []
 
     def test_unparseable_reply_warns(self):
-        m = single_node_map("Q?")
+        m = one_node_map("Q?")
         warnings: list[str] = []
         keys = extract_local_keys(
             m, backend_for("extract the entities", "no angle brackets"), CFG, warnings=warnings
@@ -103,7 +103,7 @@ class TestExtractLocal:
         assert warnings
 
     def test_uses_exploration_temperature(self, golden_backend):
-        m = single_node_map("Q?")
+        m = one_node_map("Q?")
         extract_local_keys(m, golden_backend, CFG)
         assert golden_backend.records[0].temperature == 0.4
 
@@ -130,7 +130,7 @@ class TestGroupSubgraphs:
 
 class TestExtractGlobal:
     def test_beckham_subgraph(self, golden_backend):
-        m = single_node_map("Q?")
+        m = one_node_map("Q?")
         keys = extract_global_keys(m, golden_backend, CFG)
         assert keys == [
             SubgraphKey(
@@ -146,7 +146,7 @@ class TestExtractGlobal:
             '[("France", "capital", "Paris"), ("France", "president", "Current President"),'
             ' ("Paris", "population", "Population Number")]'
         )
-        m = single_node_map("Q?")
+        m = one_node_map("Q?")
         keys = extract_global_keys(m, backend_for("extract the subgraphs", reply), CFG)
         assert len(keys) == 1
         assert isinstance(keys[0], SubgraphKey)
@@ -154,12 +154,12 @@ class TestExtractGlobal:
 
     def test_disjoint_triples_demote_to_triple_keys(self):
         reply = '[("a", "r", "b"), ("c", "r", "d")]'
-        m = single_node_map("Q?")
+        m = one_node_map("Q?")
         keys = extract_global_keys(m, backend_for("extract the subgraphs", reply), CFG)
         assert keys == [TripleKey("a", "r", "b"), TripleKey("c", "r", "d")]
 
     def test_unparseable_reply_warns(self):
-        m = single_node_map("Q?")
+        m = one_node_map("Q?")
         warnings: list[str] = []
         keys = extract_global_keys(
             m, backend_for("extract the subgraphs", "prose only"), CFG, warnings=warnings

@@ -29,10 +29,11 @@ from kgqa.llm import (
     infer_template_name,
     parse_script,
 )
-from kgqa.mindmap import decompose_question, single_node_map
+from kgqa.mindmap import decompose_question
 from kgqa.reasoning import answer_node, rethink_node, verify_answer
 
-from conftest import FIXTURES
+from conftest import FIXTURES, one_node_map
+from test_overlap import Concurrent, Sequential
 
 
 def test_res_template_section_order():
@@ -46,6 +47,10 @@ def test_res_template_section_order():
 def test_render_missing_slot_names_it():
     with pytest.raises(PromptBindingError, match="question"):
         RES_TEMPLATE.render(reasoning="R", knowledge="K")
+    # Of several missing slots, the first in body order is named.
+    with pytest.raises(PromptBindingError) as exc:
+        VER_TEMPLATE.render(question="Q", answer="A")
+    assert exc.value.args == ("template 'ver' missing binding for slot 'reasoning'",)
 
 
 def test_render_deterministic():
@@ -63,7 +68,7 @@ def test_every_template_contains_its_head_and_instruction():
         "answer": "a",
     }
     for template in TEMPLATES.values():
-        rendered = template.render(**{s: bindings[s] for s in template.slots})
+        rendered = template.render(**bindings)
         assert template.head in rendered
         assert template.instruction in rendered
 
@@ -190,8 +195,8 @@ CONTEXT = {"reasoning": "None", "knowledge": "None"}
     "template, temperature, stage",
     [
         ("dec", 0.9, lambda b: decompose_question("Q?", b, POLICY_CFG)),
-        ("ext_local", 0.9, lambda b: extract_local_keys(single_node_map("Q?"), b, POLICY_CFG)),
-        ("ext_global", 0.9, lambda b: extract_global_keys(single_node_map("Q?"), b, POLICY_CFG)),
+        ("ext_local", 0.9, lambda b: extract_local_keys(one_node_map("Q?"), b, POLICY_CFG)),
+        ("ext_global", 0.9, lambda b: extract_global_keys(one_node_map("Q?"), b, POLICY_CFG)),
         ("res", 0.2, lambda b: answer_node("Q?", CONTEXT, b, POLICY_CFG, [])),
         ("ver", 0.2, lambda b: verify_answer("Q?", "A", CONTEXT, b, POLICY_CFG, [])),
         ("rethink", 0.2, lambda b: rethink_node("Q?", CONTEXT, b, POLICY_CFG, [])),
@@ -223,6 +228,36 @@ def test_ask_unbound_slot_sends_nothing():
     with pytest.raises(PromptBindingError, match="knowledge"):
         ask(backend, RES_TEMPLATE, POLICY_CFG, reasoning="R", question="Q")
     assert backend.records == []
+
+
+@pytest.mark.parametrize("backend_class", [Concurrent, Sequential], ids=["concurrent", "sequential"])
+def test_fan_out_keeps_warnings_up_to_the_first_failure(backend_class):
+    # Job 1 fails after its warning. Overlapped, job 2 has provably finished
+    # on a pool thread by then, yet its warning is dropped as one loop's
+    # would be; in item order it never runs.
+    concurrent = backend_class is Concurrent
+    job_2_done = threading.Event()
+    threads = {}
+
+    def job(item, job_warnings):
+        threads[item] = threading.current_thread()
+        if item == 0 and concurrent:
+            assert job_2_done.wait(5)
+        job_warnings.append(f"w{item}")
+        if item == 1:
+            raise ValueError("item 1")
+        if item == 2:
+            job_2_done.set()
+        return item
+
+    warnings = []
+    with pytest.raises(ValueError, match="item 1"):
+        llm.fan_out(backend_class(), job, range(4), warnings)
+    assert warnings == ["w0", "w1"]
+    if concurrent:
+        assert threads[2] is not threading.current_thread()
+    else:
+        assert sorted(threads) == [0, 1]
 
 
 def _response(status, body):

@@ -14,10 +14,9 @@ from kgqa.mindmap import (
     build_mind_map,
     decompose_question,
     parse_decomposition_reply,
-    single_node_map,
 )
 
-from conftest import BECKHAM_QUESTION, SUB_Q1, SUB_Q2
+from conftest import BECKHAM_QUESTION, SUB_Q1, SUB_Q2, one_node_map
 
 LALELI_REPLY = """[
     {"Sub-question": "Where is the Laleli Mosque located?", "State": "End."},
@@ -114,6 +113,12 @@ class TestBuildMindMap:
         m = build_mind_map(BECKHAM_QUESTION, golden_backend, PipelineConfig(max_depth=0))
         assert len(m.nodes) == 1
         assert m.node(m.root).state is NodeState.END
+        assert golden_backend.records == []
+
+    def test_decomposition_disabled_single_node(self, golden_backend):
+        cfg = PipelineConfig(decomposition_enabled=False)
+        m = build_mind_map(f"  {BECKHAM_QUESTION} ", golden_backend, cfg)
+        assert m.to_records() == [{"id": "0", "question": BECKHAM_QUESTION, "depth": 0, "state": "End"}]
         assert golden_backend.records == []
 
     def test_three_level_tree_follows_script(self):
@@ -218,7 +223,7 @@ def _postorder_oracle(m: MindMap, node_id: str) -> list[str]:
 
 class TestBottomUpOrder:
     def test_single_node(self):
-        m = single_node_map("Q?")
+        m = one_node_map("Q?")
         assert bottom_up_order(m) == ["0"]
 
     def test_beckham_leaves_first(self, golden_backend):

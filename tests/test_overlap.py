@@ -70,11 +70,11 @@ class Concurrent:
 
 class TestFanOut:
     def test_results_in_item_order_first_on_caller(self):
-        def job(item):
+        def job(item, job_warnings):
             time.sleep(0.001 * (5 - item))
             return item, threading.current_thread()
 
-        results = fan_out(Concurrent(), job, range(5))
+        results = fan_out(Concurrent(), job, range(5), None)
         assert [item for item, _ in results] == list(range(5))
         assert results[0][1] is threading.current_thread()
         assert any(thread is not threading.current_thread() for _, thread in results[1:])
@@ -82,7 +82,7 @@ class TestFanOut:
     def test_raises_first_failure_in_item_order_after_started_jobs_finish(self):
         finished = []
 
-        def job(item):
+        def job(item, job_warnings):
             time.sleep({1: 0.02, 2: 0.04, 3: 0.0}.get(item, 0.0))
             if item in (1, 3):
                 raise ValueError(f"item {item}")
@@ -90,7 +90,7 @@ class TestFanOut:
             return item
 
         with pytest.raises(ValueError, match="item 1"):
-            fan_out(Concurrent(), job, range(4))
+            fan_out(Concurrent(), job, range(4), None)
         assert sorted(finished) == [0, 2]
 
     def test_caller_runs_the_jobs_no_pool_thread_started(self):
@@ -100,7 +100,7 @@ class TestFanOut:
         pool = llm._shared_pool()
         busy = [pool.submit(release.wait, 5) for _ in range(FAN_OUT_THREADS)]
         try:
-            results = fan_out(Concurrent(), lambda item: (item, threading.current_thread()), range(3))
+            results = fan_out(Concurrent(), lambda item, _: (item, threading.current_thread()), range(3), None)
         finally:
             release.set()
         assert results == [(item, threading.current_thread()) for item in range(3)]
@@ -115,30 +115,32 @@ class TestFanOut:
         pool = llm._shared_pool()
         busy = [pool.submit(release.wait, 5) for _ in range(FAN_OUT_THREADS)]
         try:
-            fan_out(backend, lambda item: time.sleep(first_s if item == 0 else 0.0), range(2))
+            fan_out(backend, lambda item, _: time.sleep(first_s if item == 0 else 0.0), range(2), None)
         finally:
             release.set()
         assert all(future.result(timeout=5) for future in busy)
 
-        def job(item):
+        def job(item, job_warnings):
             time.sleep(0.002)
             return threading.current_thread()
 
-        threads = fan_out(backend, job, range(4))
+        threads = fan_out(backend, job, range(4), None)
         assert all(thread is threading.current_thread() for thread in threads) is remembered
 
     def test_sequential_backend_runs_in_order_on_caller_until_failure(self):
         seen = []
 
-        def job(item):
+        def job(item, job_warnings):
+            # Long enough for idle pool threads to start jobs, were they sent.
+            time.sleep(0.002)
             seen.append((item, threading.current_thread()))
             if item == 1:
                 raise ValueError("item 1")
             return item
 
-        assert fan_out(Sequential(), lambda item: item, range(3)) == [0, 1, 2]
+        assert fan_out(Sequential(), lambda item, _: item, range(3), None) == [0, 1, 2]
         with pytest.raises(ValueError, match="item 1"):
-            fan_out(Sequential(), job, range(3))
+            fan_out(Sequential(), job, range(3), None)
         assert seen == [(0, threading.current_thread()), (1, threading.current_thread())]
 
     def test_scripted_backend_is_sequential(self):

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from kgqa.config import load_config, parse_config_lines
+from kgqa.embedding import HashedEmbedder
 from kgqa.kg_store import KnowledgeGraph
 from kgqa.llm import RES_TEMPLATE, RETHINK_TEMPLATE, ScriptRule, ScriptedBackend
 from kgqa.pipeline import (
@@ -187,6 +188,20 @@ class TestRunPipeline:
         result = run_pipeline(BECKHAM_QUESTION, fixture_graph, cfg, golden_backends)
         assert len(result.mind_map.nodes) == 1
         assert len(result.trace.records) == 1
+
+    @pytest.mark.parametrize("decomposition_enabled", [True, False], ids=["decomposition", "ablation"])
+    def test_blank_question_fails_in_decomposition_without_a_call(
+        self, fixture_graph, golden_backend, decomposition_enabled
+    ):
+        cfg = PipelineConfig(decomposition_enabled=decomposition_enabled)
+        with pytest.raises(PipelineStageError) as exc:
+            run_pipeline("   ", fixture_graph, cfg, Backends.single(golden_backend))
+        assert exc.value.stage == "decomposition"
+        assert golden_backend.records == []
+
+    def test_single_builds_a_bare_hashed_embedder(self, golden_backend):
+        # No per-text store behind the command-line path.
+        assert type(Backends.single(golden_backend).embedder) is HashedEmbedder
 
     def test_global_keys_disabled(self, fixture_graph, golden_backends):
         cfg = PipelineConfig(global_keys_enabled=False)

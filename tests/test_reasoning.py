@@ -9,7 +9,6 @@ from kgqa.embedding import HashedEmbedder
 from kgqa.extraction import TripleKey, build_key_set
 from kgqa.kg_store import Triple
 from kgqa.llm import RES_TEMPLATE, ScriptRule, ScriptedBackend
-from kgqa.mindmap import single_node_map
 from kgqa.reasoning import (
     ABSTENTION_PHRASE,
     NodeRecord,
@@ -26,6 +25,7 @@ from kgqa.reasoning import (
 )
 from kgqa.retrieval import filter_by_similarity
 
+from conftest import one_node_map
 
 CFG = PipelineConfig()
 
@@ -166,7 +166,7 @@ def scripted_session(rules: list[ScriptRule]) -> ScriptedBackend:
 
 class TestSolve:
     def test_single_node_map(self):
-        m = single_node_map("Q?")
+        m = one_node_map("Q?")
         backend = scripted_session(
             [
                 ScriptRule(patterns=("answer the questions",), reply="[final]"),
@@ -180,7 +180,7 @@ class TestSolve:
         assert trace.rethink_calls == 0
 
     def test_wrong_verdict_triggers_single_rethink(self):
-        m = single_node_map("Q?")
+        m = one_node_map("Q?")
         backend = scripted_session(
             [
                 ScriptRule(patterns=("answer the questions",), reply="[first guess]"),
@@ -197,7 +197,7 @@ class TestSolve:
         assert trace.rethink_calls == 1
 
     def test_verification_disabled_forces_true(self):
-        m = single_node_map("Q?")
+        m = one_node_map("Q?")
         backend = scripted_session(
             [ScriptRule(patterns=("answer the questions",), reply="[a]")]
         )
@@ -209,7 +209,7 @@ class TestSolve:
         assert trace.records[0].rethink is None
 
     def test_abstained_outcome(self):
-        m = single_node_map("Q?")
+        m = one_node_map("Q?")
         backend = scripted_session(
             [
                 ScriptRule(patterns=("answer the questions",), reply=f"[{ABSTENTION_PHRASE}]"),
@@ -258,7 +258,7 @@ class TestSolve:
         assert trace.verify_calls == len(m.nodes)
 
     def test_warnings_appended_to_callers_list(self):
-        m = single_node_map("Q?")
+        m = one_node_map("Q?")
         backend = scripted_session(
             [
                 ScriptRule(patterns=("answer the questions",), reply="first guess"),
