@@ -36,9 +36,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_ask(args: argparse.Namespace) -> int:
+    # Everything that can fail fast comes before the graph, whose load
+    # takes seconds at a million triples.
     cfg = load_config(args.config)
-    graph = load_graph_file(args.graph)
     backends = _build_backends(args.script, cfg)
+    graph = load_graph_file(args.graph)
     result = run_pipeline(args.question, graph, cfg, backends)
     print(result.final_answer)
     if args.trace:
@@ -49,10 +51,10 @@ def cmd_ask(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    graph = load_graph_file(args.graph)
     backends = _build_backends(args.script, cfg)
     with open(args.dataset, "r", encoding="utf-8-sig") as f:
         dataset = load_dataset(f.readlines())
+    graph = load_graph_file(args.graph)
 
     def pipeline(question: str):
         return run_pipeline(question, graph, cfg, backends).trace

@@ -27,11 +27,12 @@ import time
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Protocol, TypeVar
-
-import requests
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Protocol, TypeVar
 
 from .config import PipelineConfig
+
+if TYPE_CHECKING:
+    import requests
 
 ENV_LLM_URL = "COGGRAG_LLM_URL"
 ENV_LLM_KEY = "COGGRAG_LLM_KEY"
@@ -483,6 +484,11 @@ class HTTPBackend:
     ``requests.Session``, so that its calls reuse a connection: ``fan_out``
     calls ``generate`` from pool threads, and a session is not safe to share
     between threads.
+
+    ``requests`` is imported when an instance is built, not when
+    this module loads, so a process that answers in-process never loads
+    the HTTP stack; importing on the constructing thread keeps the first
+    import off ``fan_out``'s pool threads.
     """
 
     def __init__(
@@ -501,12 +507,15 @@ class HTTPBackend:
         self.max_retries = max_retries
         self.timeout = timeout
         self._local = threading.local()
+        import requests
+
+        self._requests = requests
 
     def _session(self) -> requests.Session:
         """This thread's session, opened on its first call."""
         session = getattr(self._local, "session", None)
         if session is None:
-            session = self._local.session = requests.Session()
+            session = self._local.session = self._requests.Session()
         return session
 
     @classmethod
@@ -526,6 +535,7 @@ class HTTPBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
+        requests = self._requests
         session = self._session()
         last_error: Optional[Exception] = None
         for attempt in range(self.max_retries):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from kgqa import cli
 from kgqa.cli import main
 
 from conftest import BECKHAM_QUESTION, FIXTURES
@@ -206,6 +207,41 @@ class TestBadConfig:
         assert "max_tokens" in captured.err
         assert captured.out == ""
         assert not report_path.exists()
+
+
+class TestFailsBeforeLoadingGraph:
+    """A missing endpoint, a missing script or a bad dataset line is
+    reported before the graph, whose load takes seconds at scale, is read."""
+
+    @pytest.fixture(autouse=True)
+    def graph_never_loads(self, monkeypatch):
+        def load_graph_file(path):
+            raise AssertionError(f"graph {path} was loaded")
+
+        monkeypatch.setattr(cli, "load_graph_file", load_graph_file)
+
+    @pytest.mark.parametrize("command", ["ask", "bench"])
+    @pytest.mark.parametrize("missing", ["endpoint", "script"])
+    def test_missing_backend(self, command, missing, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("COGGRAG_LLM_URL", raising=False)
+        script = str(tmp_path / "no_such_script.jsonl")
+        argv = {
+            "ask": ["ask", "--graph", GRAPH, "--question", BECKHAM_QUESTION],
+            "bench": ["bench", "--graph", GRAPH, "--dataset", DATASET],
+        }[command]
+        if missing == "script":
+            argv += ["--script", script]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert {"endpoint": "COGGRAG_LLM_URL", "script": script}[missing] in err
+
+    def test_bad_dataset_line(self, tmp_path, capsys):
+        dataset = tmp_path / "bad.jsonl"
+        dataset.write_text('{"id": "1", "question": "q?", "answers": ["a"]}\n{"id": "2"}\n')
+        code = main(["bench", "--graph", GRAPH, "--dataset", str(dataset), "--script", SCRIPT])
+        assert code == 1
+        assert "dataset line 2" in capsys.readouterr().err
 
 
 class TestScriptCheck:

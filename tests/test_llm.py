@@ -425,13 +425,36 @@ def test_http_calls_on_one_thread_share_a_session(monkeypatch):
 
 
 def test_http_threads_use_their_own_sessions(monkeypatch):
-    calls = _patched_post(monkeypatch, [_response(200, COMPLETION)] * 3)
-    backend = HTTPBackend("http://llm.invalid/v1/chat")
-    backend.generate(HTTP_REQUEST)
-    for _ in range(2):
-        worker = threading.Thread(target=backend.generate, args=(HTTP_REQUEST,))
-        worker.start()
-        worker.join(timeout=10)
-        assert not worker.is_alive()
-    # ``calls`` keeps every session alive, so no two can share an id.
-    assert len(calls) == len({id(session) for session in calls}) == 3
+    # In turn: one call on this thread, then one on each of two threads.
+    # Together: a fresh backend's first calls, on two threads at once, meet
+    # inside ``post``. Either way each call gets a reply on its own session.
+    for together in (False, True):
+        calls = _patched_post(monkeypatch, [_response(200, COMPLETION)] * 3)
+        if together:
+            barrier = threading.Barrier(2, timeout=10)
+            post = requests.Session.post
+
+            def meet_then_post(session, url, **kwargs):
+                barrier.wait()
+                return post(session, url, **kwargs)
+
+            monkeypatch.setattr(requests.Session, "post", meet_then_post)
+        backend = HTTPBackend("http://llm.invalid/v1/chat")
+        replies = []
+
+        def call():
+            replies.append(backend.generate(HTTP_REQUEST))
+
+        if not together:
+            call()
+        workers = [threading.Thread(target=call) for _ in range(2)]
+        for worker in workers:
+            worker.start()
+            if not together:
+                worker.join(timeout=10)
+        for worker in workers:
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        assert replies == ["[ok]"] * (2 if together else 3)
+        # ``calls`` keeps every session alive, so no two can share an id.
+        assert len(calls) == len({id(session) for session in calls}) == len(replies)
