@@ -16,6 +16,7 @@ them.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import random
@@ -52,7 +53,8 @@ class PromptBindingError(KeyError):
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """A named prompt with fixed head/instruction text and ``${slot}`` holes.
+    """A named prompt: its head, its instruction and a tail with the
+    ``${slot}`` holes, joined by blank lines into ``body``.
 
     ``exploratory`` templates are sent at the exploration temperature.
     """
@@ -60,8 +62,12 @@ class PromptTemplate:
     name: str
     head: str
     instruction: str
-    body: str
+    tail: str
     exploratory: bool = False
+
+    @functools.cached_property
+    def body(self) -> str:
+        return f"{self.head}\n\n{self.instruction}\n\n{self.tail}"
 
     def render(self, **bindings: str) -> str:
         try:
@@ -72,21 +78,24 @@ class PromptTemplate:
             ) from None
 
 
-_DEC_HEAD = (
-    "Your task is to decompose the given question Q into sub-questions. "
-    "You should based on the specific logic of the question to determine "
-    "the number of sub-questions and output them sequentially."
-)
-_DEC_INSTRUCTION = (
-    "Please only output the decomposed sub-questions as a string in list format, "
-    "where each element represents the text of a sub-question, in the form of "
-    '{["subq1", "subq2", "subq3"]}. For each sub-question, if you consider the '
-    "sub-question to be sufficiently simple and no further decomposition is needed, "
-    'then output "End.", otherwise, output "Continue." Please strictly follow the '
-    "format of the example below when answering the question.\n"
-    "Here are some examples:"
-)
-_DEC_EXAMPLES = """Input: "What year did Guns N Roses perform a promo for a movie starring Arnold Schwarzenegger as a former New York Police detective?"
+DEC_TEMPLATE = PromptTemplate(
+    name="dec",
+    exploratory=True,
+    head=(
+        "Your task is to decompose the given question Q into sub-questions. "
+        "You should based on the specific logic of the question to determine "
+        "the number of sub-questions and output them sequentially."
+    ),
+    instruction=(
+        "Please only output the decomposed sub-questions as a string in list format, "
+        "where each element represents the text of a sub-question, in the form of "
+        '{["subq1", "subq2", "subq3"]}. For each sub-question, if you consider the '
+        "sub-question to be sufficiently simple and no further decomposition is needed, "
+        'then output "End.", otherwise, output "Continue." Please strictly follow the '
+        "format of the example below when answering the question.\n"
+        "Here are some examples:"
+    ),
+    tail="""Input: "What year did Guns N Roses perform a promo for a movie starring Arnold Schwarzenegger as a former New York Police detective?"
 Output: [
     {"Sub-question": "What movie starring Arnold Schwarzenegger as a former New York Police detective is being referred to?", "State": "Continue."},
     {"Sub-question": "In what year did Guns N Roses perform a promo for the movie mentioned in sub-question #1?", "State": "End."}
@@ -103,123 +112,88 @@ Output: [
     {"Sub-question": "Where is the Laleli Mosque located?", "State": "End."},
     {"Sub-question": "Where is the Esma Sultan Mansion located?", "State": "End."},
     {"Sub-question": "Are the locations of the Laleli Mosque and the Esma Sultan Mansion in the same neighborhood?", "State": "End."}
-]"""
+]
 
-DEC_TEMPLATE = PromptTemplate(
-    name="dec",
-    exploratory=True,
-    head=_DEC_HEAD,
-    instruction=_DEC_INSTRUCTION,
-    body=(
-        f"{_DEC_HEAD}\n\n{_DEC_INSTRUCTION}\n\n{_DEC_EXAMPLES}\n\n"
-        "Input: ${question}\nOutput:"
-    ),
-)
-
-_EXT_LOCAL_HEAD = (
-    "Your task is to extract the entities (such as people, places, organizations, "
-    "etc.) and relations (representing behaviors or properties between entities, "
-    "such as verbs, attributes, or categories, etc.) involved in the input "
-    "questions. These entities and relations can help answer the input questions."
-)
-_EXT_LOCAL_INSTRUCTION = (
-    "Please extract entities and relations in one of the following forms: entity, "
-    "tuples, or triples from the given input List. Entity means that only an "
-    "entity, i.e. <entity>. Tuples means that an entity and a relation, i.e. "
-    "<entity-relation>. Triples means that complete triples, i.e. "
-    "<entity-relation-entity>. Please strictly follow the format of the example "
-    "below when answering the question."
+Input: ${question}
+Output:""",
 )
 
 EXT_LOCAL_TEMPLATE = PromptTemplate(
     name="ext_local",
     exploratory=True,
-    head=_EXT_LOCAL_HEAD,
-    instruction=_EXT_LOCAL_INSTRUCTION,
-    body=f"{_EXT_LOCAL_HEAD}\n\n{_EXT_LOCAL_INSTRUCTION}\n\nInput: ${{mind_map}}\nOutput:",
+    head=(
+        "Your task is to extract the entities (such as people, places, organizations, "
+        "etc.) and relations (representing behaviors or properties between entities, "
+        "such as verbs, attributes, or categories, etc.) involved in the input "
+        "questions. These entities and relations can help answer the input questions."
+    ),
+    instruction=(
+        "Please extract entities and relations in one of the following forms: entity, "
+        "tuples, or triples from the given input List. Entity means that only an "
+        "entity, i.e. <entity>. Tuples means that an entity and a relation, i.e. "
+        "<entity-relation>. Triples means that complete triples, i.e. "
+        "<entity-relation-entity>. Please strictly follow the format of the example "
+        "below when answering the question."
+    ),
+    tail="Input: ${mind_map}\nOutput:",
 )
-
-_EXT_GLOBAL_HEAD = "Your task is to extract the subgraphs involved in a set of input questions."
-_EXT_GLOBAL_INSTRUCTION = (
-    "Please extract and organize information from a set of input questions into "
-    "structured subgraphs. Each subgraph represents a group of triples (subject, "
-    "relation, object) that share common entities and capture the logical "
-    "relationships between the questions. Here are some examples:"
-)
-_EXT_GLOBAL_EXAMPLE = """Input: ["What is the capital of France?", "Who is the president of France?", "What is the population of Paris?"]
-Output: [("France", "capital", "Paris"), ("France", "president", "Current President"), ("Paris", "population", "Population Number")]"""
 
 EXT_GLOBAL_TEMPLATE = PromptTemplate(
     name="ext_global",
     exploratory=True,
-    head=_EXT_GLOBAL_HEAD,
-    instruction=_EXT_GLOBAL_INSTRUCTION,
-    body=(
-        f"{_EXT_GLOBAL_HEAD}\n\n{_EXT_GLOBAL_INSTRUCTION}\n\n{_EXT_GLOBAL_EXAMPLE}\n\n"
-        "Input: ${mind_map}\nOutput:"
+    head="Your task is to extract the subgraphs involved in a set of input questions.",
+    instruction=(
+        "Please extract and organize information from a set of input questions into "
+        "structured subgraphs. Each subgraph represents a group of triples (subject, "
+        "relation, object) that share common entities and capture the logical "
+        "relationships between the questions. Here are some examples:"
     ),
+    tail="""Input: ["What is the capital of France?", "Who is the president of France?", "What is the population of Paris?"]
+Output: [("France", "capital", "Paris"), ("France", "president", "Current President"), ("Paris", "population", "Population Number")]
+
+Input: ${mind_map}
+Output:""",
 )
 
-_RES_HEAD = (
-    "Your task is to answer the questions with the provided completed reasoning "
-    "and input knowledge."
-)
 _BRACKET_INSTRUCTION = "Please note that the response must be included in square brackets [xxx]."
+_REASONING_CONTEXT = "The completed reasoning: ${reasoning}\n\nThe knowledge graph: ${knowledge}\n\n"
 
 RES_TEMPLATE = PromptTemplate(
     name="res",
-    head=_RES_HEAD,
-    instruction=_BRACKET_INSTRUCTION,
-    body=(
-        f"{_RES_HEAD}\n\n{_BRACKET_INSTRUCTION}\n\n"
-        "The completed reasoning: ${reasoning}\n\n"
-        "The knowledge graph: ${knowledge}\n\n"
-        "Input: ${question}\nOutput:"
+    head=(
+        "Your task is to answer the questions with the provided completed reasoning "
+        "and input knowledge."
     ),
-)
-
-_VER_HEAD = (
-    "You are a logical verification assistant. Your task is to check whether the "
-    "answer to a given question is logically consistent with the provided "
-    "completed reasoning and input knowledge. If the answer is consistent, "
-    'respond with "right". If the answer is inconsistent, respond with "wrong".'
+    instruction=_BRACKET_INSTRUCTION,
+    tail=_REASONING_CONTEXT + "Input: ${question}\nOutput:",
 )
 
 VER_TEMPLATE = PromptTemplate(
     name="ver",
-    head=_VER_HEAD,
-    instruction=_BRACKET_INSTRUCTION,
-    body=(
-        f"{_VER_HEAD}\n\n{_BRACKET_INSTRUCTION}\n\n"
-        "The completed reasoning: ${reasoning}\n\n"
-        "The knowledge graph: ${knowledge}\n\n"
-        "Answer: ${answer}\n\n"
-        "Input: ${question}\nOutput:"
+    head=(
+        "You are a logical verification assistant. Your task is to check whether the "
+        "answer to a given question is logically consistent with the provided "
+        "completed reasoning and input knowledge. If the answer is consistent, "
+        'respond with "right". If the answer is inconsistent, respond with "wrong".'
     ),
-)
-
-_RETHINK_HEAD = (
-    "You are a reasoning and knowledge integration assistant. Your task is to "
-    "re-think a question that was previously answered incorrectly by the "
-    "self-verification model. Use the provided completed reasoning and input "
-    "knowledge to generate a new answer."
-)
-_RETHINK_INSTRUCTION = (
-    'Please note, if the knowledge is insufficient to answer the question, respond '
-    'with "Insufficient information, I don\'t know". The response must be included '
-    "in square brackets [xxx]."
+    instruction=_BRACKET_INSTRUCTION,
+    tail=_REASONING_CONTEXT + "Answer: ${answer}\n\nInput: ${question}\nOutput:",
 )
 
 RETHINK_TEMPLATE = PromptTemplate(
     name="rethink",
-    head=_RETHINK_HEAD,
-    instruction=_RETHINK_INSTRUCTION,
-    body=(
-        f"{_RETHINK_HEAD}\n\n{_RETHINK_INSTRUCTION}\n\n"
-        "The completed reasoning: ${reasoning}\n\n"
-        "The knowledge graph: ${knowledge}\n\n"
-        "Input: ${question}\nOutput:"
+    head=(
+        "You are a reasoning and knowledge integration assistant. Your task is to "
+        "re-think a question that was previously answered incorrectly by the "
+        "self-verification model. Use the provided completed reasoning and input "
+        "knowledge to generate a new answer."
     ),
+    instruction=(
+        'Please note, if the knowledge is insufficient to answer the question, respond '
+        'with "Insufficient information, I don\'t know". The response must be included '
+        "in square brackets [xxx]."
+    ),
+    tail=_REASONING_CONTEXT + "Input: ${question}\nOutput:",
 )
 
 TEMPLATES: dict[str, PromptTemplate] = {
@@ -267,7 +241,7 @@ class LLMBackend(Protocol):
     in-process, where there is no wait to overlap and the order of calls
     it records stays the order the pipeline issues them. A backend without
     it that is seen to answer without releasing the interpreter lock gets
-    the same treatment from then on (see ``fan_out``).
+    the same treatment while its calls stay that quick (see ``fan_out``).
     """
 
     def generate(self, request: GenerationRequest) -> str: ...
@@ -283,7 +257,8 @@ _pool_lock = threading.Lock()
 # pool thread started a job: a thread waiting for the lock takes it at the
 # latest after that interval, unless it was busy with other jobs; a backend
 # mistaken for one this way answered within the interval, so little overlap
-# is lost.
+# is lost. A remembered backend is forgotten once one of its calls takes the
+# interval or longer: such a call may have waited with the lock released.
 _instant: "weakref.WeakValueDictionary[int, LLMBackend]" = weakref.WeakValueDictionary()
 
 
@@ -310,12 +285,13 @@ def fan_out(
     order, every job no pool thread has started yet. If that was every job
     and the first took less than the switch interval, the backend answers
     without releasing the interpreter lock, and its later fan-outs run in
-    item order on the calling thread. Returns or raises only after every
-    started job has finished; a failure raises the first failing job's
-    exception in item order, and jobs after it that have not started never
-    run. The jobs' warnings are then appended to ``warnings`` (unless it is
-    None) in item order, up to and including the first failing job's: what
-    one loop over the items appending to ``warnings`` would leave.
+    item order on the calling thread, until one of its calls takes at least
+    the switch interval. Returns or raises only after every started job has
+    finished; a failure raises the first failing job's exception in item
+    order, and jobs after it that have not started never run. The jobs'
+    warnings are then appended to ``warnings`` (unless it is None) in item
+    order, up to and including the first failing job's: what one loop over
+    the items appending to ``warnings`` would leave.
 
     A job must never call ``fan_out`` itself: its inner jobs could wait for
     pool threads held by outer jobs, and the shared pool would deadlock.
@@ -325,9 +301,13 @@ def fan_out(
     results: list[_R] = []
     futures: list[Future] = []
     try:
-        if len(items) < 2 or getattr(backend, "sequential", False) or _instant.get(id(backend)) is backend:
+        remembered = _instant.get(id(backend)) is backend
+        if len(items) < 2 or getattr(backend, "sequential", False) or remembered:
             for item, log in zip(items, logs):
+                start = time.perf_counter()
                 results.append(fn(item, log))
+                if remembered and time.perf_counter() - start >= sys.getswitchinterval():
+                    _instant.pop(id(backend), None)
             return results
         pool = _shared_pool()
         for item, log in zip(items[1:], logs[1:]):

@@ -104,7 +104,7 @@ def parse_decomposition_reply(text: str) -> Optional[list[tuple[str, NodeState]]
         try:
             data = loader(block)
             break
-        except (ValueError, SyntaxError):
+        except (ValueError, SyntaxError, RecursionError):
             continue
     if not isinstance(data, list):
         return None

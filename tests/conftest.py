@@ -44,6 +44,11 @@ def golden_backend() -> ScriptedBackend:
     return ScriptedBackend(golden_rules())
 
 
+def nested_reply(depth):
+    """A reply of one bracket block ``depth`` levels deep."""
+    return "[" * depth + "]" * depth
+
+
 def one_node_map(question):
     """The mind map of ``question`` with decomposition off: the root alone.
     Its backend has no rules, so any LLM call would fail."""

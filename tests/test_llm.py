@@ -73,6 +73,21 @@ def test_every_template_contains_its_head_and_instruction():
         assert template.instruction in rendered
 
 
+def test_every_template_renders_as_recorded():
+    # Every template's exact text, rethink's among them: the golden run never
+    # sends a rethink prompt, so no other fixture pins it.
+    recording = json.loads((FIXTURES / "rendered_templates.json").read_text(encoding="utf-8"))
+    assert list(TEMPLATES) == list(recording["templates"])
+    for name, template in TEMPLATES.items():
+        recorded = recording["templates"][name]
+        assert template.render(**recording["bindings"]) == recorded["prompt"]
+        assert (template.head, template.instruction, template.exploratory) == (
+            recorded["head"],
+            recorded["instruction"],
+            recorded["exploratory"],
+        )
+
+
 def test_dec_template_keeps_fewshot_examples():
     rendered = DEC_TEMPLATE.render(question="Who?")
     assert "Are the locations of the Laleli Mosque" in rendered

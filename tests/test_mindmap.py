@@ -16,7 +16,7 @@ from kgqa.mindmap import (
     parse_decomposition_reply,
 )
 
-from conftest import BECKHAM_QUESTION, SUB_Q1, SUB_Q2, one_node_map
+from conftest import BECKHAM_QUESTION, SUB_Q1, SUB_Q2, nested_reply, one_node_map
 
 LALELI_REPLY = """[
     {"Sub-question": "Where is the Laleli Mosque located?", "State": "End."},
@@ -79,6 +79,24 @@ class TestDecomposeQuestion:
     def test_empty_question_rejected(self):
         with pytest.raises(ValueError):
             decompose_question("  ", scripted("[]"), PipelineConfig())
+
+
+class TestDeeplyNestedReply:
+    """A bracket block nested past the parsers' recursion limits is an
+    unparseable reply, not a failed question."""
+
+    @pytest.mark.parametrize("depth", [10**3, 10**6])
+    def test_parses_to_none(self, depth):
+        assert parse_decomposition_reply(nested_reply(depth)) is None
+
+    @pytest.mark.parametrize("depth", [10**3, 10**6])
+    def test_retries_then_falls_back_with_warning(self, depth):
+        backend = scripted(nested_reply(depth))
+        warnings: list[str] = []
+        result = decompose_question("Q?", backend, PipelineConfig(max_parse_retries=1), warnings)
+        assert result == [("Q?", NodeState.END)]
+        assert len(backend.records) == 2
+        assert warnings == ["decomposition unparseable for question: 'Q?'; treated as atomic"]
 
 
 class TestParseReply:

@@ -6,6 +6,7 @@ one-call-at-a-time order gives, whatever order the replies arrive in.
 """
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import sys
@@ -60,6 +61,19 @@ def mind_map_outcome(backend):
     return list(m.nodes), m.to_records(), warnings
 
 
+@contextlib.contextmanager
+def busy_pool():
+    """Every thread of the shared pool busy with another question's job."""
+    release = threading.Event()
+    pool = llm._shared_pool()
+    busy = [pool.submit(release.wait, 5) for _ in range(FAN_OUT_THREADS)]
+    try:
+        yield
+    finally:
+        release.set()
+    assert all(future.result(timeout=5) for future in busy)
+
+
 class Sequential:
     sequential = True
 
@@ -96,29 +110,17 @@ class TestFanOut:
     def test_caller_runs_the_jobs_no_pool_thread_started(self):
         # Every pool thread is busy with another question's job, so all
         # three jobs run on the caller, in order, and nothing waits on them.
-        release = threading.Event()
-        pool = llm._shared_pool()
-        busy = [pool.submit(release.wait, 5) for _ in range(FAN_OUT_THREADS)]
-        try:
+        with busy_pool():
             results = fan_out(Concurrent(), lambda item, _: (item, threading.current_thread()), range(3), None)
-        finally:
-            release.set()
         assert results == [(item, threading.current_thread()) for item in range(3)]
-        assert all(future.result(timeout=5) for future in busy)
 
     @pytest.mark.parametrize("first_s, remembered", [(0.0, True), (0.02, False)], ids=["instant", "slow"])
     def test_backend_remembered_only_if_it_answers_within_a_switch_interval(self, first_s, remembered):
         # With the pool busy every job is run by the caller; only a quick
         # first call shows that the backend held the interpreter lock.
         backend = Concurrent()
-        release = threading.Event()
-        pool = llm._shared_pool()
-        busy = [pool.submit(release.wait, 5) for _ in range(FAN_OUT_THREADS)]
-        try:
+        with busy_pool():
             fan_out(backend, lambda item, _: time.sleep(first_s if item == 0 else 0.0), range(2), None)
-        finally:
-            release.set()
-        assert all(future.result(timeout=5) for future in busy)
 
         def job(item, job_warnings):
             time.sleep(0.002)
@@ -126,6 +128,18 @@ class TestFanOut:
 
         threads = fan_out(backend, job, range(4), None)
         assert all(thread is threading.current_thread() for thread in threads) is remembered
+
+    def test_remembered_backend_forgotten_after_a_slow_call(self):
+        # A call that outlasts the switch interval shows the backend waits
+        # with the interpreter lock released: its calls overlap again.
+        backend = Concurrent()
+        with busy_pool():
+            fan_out(backend, lambda item, _: None, range(2), None)
+        assert llm._instant.get(id(backend)) is backend
+        fan_out(backend, lambda item, _: time.sleep(0.02), range(3), None)
+        barrier = threading.Barrier(2, timeout=2)
+        assert fan_out(backend, lambda item, _: barrier.wait(), range(2), None)
+        assert llm._instant.get(id(backend)) is None
 
     def test_sequential_backend_runs_in_order_on_caller_until_failure(self):
         seen = []

@@ -9,7 +9,15 @@ import pytest
 from kgqa.config import load_config, parse_config_lines
 from kgqa.embedding import HashedEmbedder
 from kgqa.kg_store import KnowledgeGraph
-from kgqa.llm import RES_TEMPLATE, RETHINK_TEMPLATE, ScriptRule, ScriptedBackend
+from kgqa.llm import (
+    DEC_TEMPLATE,
+    EXT_GLOBAL_TEMPLATE,
+    EXT_LOCAL_TEMPLATE,
+    RES_TEMPLATE,
+    RETHINK_TEMPLATE,
+    ScriptRule,
+    ScriptedBackend,
+)
 from kgqa.pipeline import (
     Backends,
     PipelineConfig,
@@ -18,7 +26,7 @@ from kgqa.pipeline import (
     write_trace,
 )
 
-from conftest import BECKHAM_QUESTION, FIXTURES, SUB_Q1, SUB_Q2, ScaledEmbedder, golden_rules
+from conftest import BECKHAM_QUESTION, FIXTURES, SUB_Q1, SUB_Q2, ScaledEmbedder, golden_rules, nested_reply
 from test_acceptance import _run_session, _session_rules
 
 
@@ -214,6 +222,23 @@ class TestRunPipeline:
         result = run_pipeline(BECKHAM_QUESTION, fixture_graph, cfg, golden_backends)
         assert result.trace.verify_calls == 0
         assert result.trace.rethink_calls == 0
+        assert result.final_answer == "1986–2013"
+
+    @pytest.mark.parametrize("depth", [10**3, 10**6])
+    @pytest.mark.parametrize(
+        "template, warning",
+        [
+            (DEC_TEMPLATE, f"decomposition unparseable for question: {BECKHAM_QUESTION!r}; treated as atomic"),
+            (EXT_LOCAL_TEMPLATE, "local key extraction produced no parseable keys"),
+            (EXT_GLOBAL_TEMPLATE, "global key extraction produced no parseable triples"),
+        ],
+        ids=["dec", "ext_local", "ext_global"],
+    )
+    def test_deeply_nested_reply_leaves_a_warning(self, fixture_graph, template, warning, depth):
+        rules = [ScriptRule(reply=nested_reply(depth), patterns=(template.head,)), *golden_rules()]
+        backends = Backends.single(ScriptedBackend(rules))
+        result = run_pipeline(BECKHAM_QUESTION, fixture_graph, PipelineConfig(), backends)
+        assert result.warnings == [warning]
         assert result.final_answer == "1986–2013"
 
     def test_stage_error_labels_reasoning(self, fixture_graph):
