@@ -8,13 +8,14 @@ from .llm import HTTPBackend, ScriptedBackend, load_script
 from .mindmap import MindMap, build_mind_map, bottom_up_order
 from .pipeline import Backends, PipelineConfig, PipelineResult, run_pipeline
 from .reasoning import ReasoningTrace, detect_abstention, solve
-from .retrieval import RetrievedTripleSet, filter_by_similarity, gather_candidates
+from .retrieval import CandidateRows, RetrievedTripleSet, filter_by_similarity, gather_candidates
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Backends",
     "CachingEmbedder",
+    "CandidateRows",
     "HTTPBackend",
     "HashedEmbedder",
     "KnowledgeGraph",

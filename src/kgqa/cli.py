@@ -54,6 +54,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     backends = _build_backends(args.script, cfg)
     with open(args.dataset, "r", encoding="utf-8-sig") as f:
         dataset = load_dataset(f.readlines())
+    if not dataset:
+        raise ValueError(f"{args.dataset}: dataset has no examples")
     graph = load_graph_file(args.graph)
 
     def pipeline(question: str):

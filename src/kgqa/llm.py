@@ -424,7 +424,10 @@ def parse_script(lines: "list[str]", source: str = "<script>") -> list[ScriptRul
         if regex is not None:
             if not isinstance(regex, str):
                 raise ValueError(f"{source}: line {line_number}: 'regex' must be a string")
-            re.compile(regex)
+            try:
+                re.compile(regex)
+            except re.error as exc:
+                raise ValueError(f"{source}: line {line_number}: invalid regex: {exc}") from exc
         if not patterns and regex is None:
             raise ValueError(
                 f"{source}: line {line_number}: record needs 'match' or 'regex'"

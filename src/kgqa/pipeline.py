@@ -23,7 +23,7 @@ from .kg_store import KnowledgeGraph
 from .llm import LLMBackend, fan_out
 from .mindmap import MindMap, build_mind_map
 from .reasoning import ReasoningAborted, ReasoningTrace, solve
-from .retrieval import RetrievedTripleSet, embed_keys, filter_by_similarity, gather_candidates
+from .retrieval import RetrievedTripleSet, filter_by_similarity, gather_candidates
 
 
 @dataclass
@@ -99,9 +99,8 @@ def run_pipeline(
         raise PipelineStageError("extraction", exc, warnings) from exc
 
     try:
-        key_matrix = embed_keys(key_set, backends.embedder)
-        candidates = gather_candidates(graph, key_set, backends.embedder, cfg, key_matrix)
-        evidence = filter_by_similarity(candidates, key_set, backends.embedder, cfg, key_matrix)
+        candidates = gather_candidates(graph, key_set, backends.embedder, cfg)
+        evidence = filter_by_similarity(candidates, backends.embedder, cfg)
     except Exception as exc:
         raise PipelineStageError("retrieval", exc, warnings) from exc
 

@@ -10,14 +10,14 @@ are scored against all keys at once by ``KnowledgeGraph.row_scores``, which
 leaves the scoring to the graph's index for the embedder (see ``kg_store``).
 ``gather_candidates`` scores each distinct row of a question's expansions in
 one call; those scores rank a hub's expansion for the hub cap and travel
-with the candidates to pre-screen the epsilon filter. Every triple the
-filter keeps is re-scored exactly by ``_best_key``, so kept triples, keys
-and scores do not depend on the order of the vectorised sums.
+with the candidates and their keys to pre-screen the epsilon filter. Every
+triple the filter keeps is re-scored exactly by ``_best_key``, so kept
+triples, keys and scores do not depend on the order of the vectorised sums.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -49,6 +49,10 @@ class KeyMatrix(NamedTuple):
     keys: list[Key]
     matrix: np.ndarray
 
+    def row_scores(self, g: KnowledgeGraph, rows: np.ndarray, embedder: Embedder) -> np.ndarray:
+        """``KnowledgeGraph.row_scores`` of ``rows``; 0 for every row when there are no keys."""
+        return g.row_scores(rows, embedder, self.matrix) if self.keys else np.zeros(len(rows))
+
 
 def embed_keys(keys: KeySet, embedder: Embedder) -> KeyMatrix:
     """Embed a question's scoring keys once, for both retrieval stages."""
@@ -60,16 +64,21 @@ def embed_keys(keys: KeySet, embedder: Embedder) -> KeyMatrix:
 
 @dataclass(frozen=True, eq=False)
 class CandidateRows:
-    """Sorted, unique row ids of one graph: the candidates of one question.
-
-    ``scores`` are the rows' ``KnowledgeGraph.row_scores`` against
-    ``key_matrix``, when the rows were scored against keys while gathered.
-    """
+    """Sorted, unique row ids of one graph: the candidates of one question,
+    with the keys they are scored against and each row's score under them."""
 
     graph: KnowledgeGraph
     rows: np.ndarray
-    scores: Optional[np.ndarray] = None
-    key_matrix: Optional[KeyMatrix] = None
+    scores: np.ndarray
+    key_matrix: KeyMatrix
+
+    @classmethod
+    def of(cls, triples: Iterable[Triple], keys: KeySet, embedder: Embedder) -> "CandidateRows":
+        """``triples``, loaded into a graph of their own, scored once against ``keys``."""
+        graph = KnowledgeGraph(triples)
+        rows = np.arange(graph.triple_count)
+        key_matrix = embed_keys(keys, embedder)
+        return cls(graph, rows, key_matrix.row_scores(graph, rows, embedder), key_matrix)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -88,22 +97,19 @@ def _best_key(
     return scoring_keys[best], scores[best]
 
 
-def _hub_cap(expansion: np.ndarray, rows: np.ndarray, scores: Optional[np.ndarray], cap: int) -> np.ndarray:
+def _hub_cap(expansion: np.ndarray, rows: np.ndarray, scores: np.ndarray, cap: int) -> np.ndarray:
     """The ``cap`` rows of ``expansion`` whose triples score highest against the keys.
 
     ``scores`` are the vectorised scores of the sorted ``rows``, which hold
-    every row of ``expansion``; None when there are no keys. Let ``cut`` be
-    the cap-th highest score of the expansion. Rows scoring more than
-    ``RESCORE_TOLERANCE`` above it are in; those within the tolerance of it
-    fill the places left in row order, which is ``Triple.sort_key`` order.
-    Scores that are mathematically equal can differ by a few ulps with
-    summation order, so ties at the cap break by ``sort_key``, not by that
-    noise; only rows within the tolerance of ``cut`` can be chosen
-    differently than by exact ``_best_key`` scores. With no keys the
-    lexicographically first triples win.
+    every row of ``expansion``. Let ``cut`` be the cap-th highest score of
+    the expansion. Rows scoring more than ``RESCORE_TOLERANCE`` above it are
+    in; those within the tolerance of it fill the places left in row order,
+    which is ``Triple.sort_key`` order. Scores that are mathematically equal
+    can differ by a few ulps with summation order, so ties at the cap break
+    by ``sort_key``, not by that noise; only rows within the tolerance of
+    ``cut`` can be chosen differently than by exact ``_best_key`` scores.
+    With no keys every row scores 0, so the lexicographically first win.
     """
-    if scores is None:
-        return np.sort(expansion)[:cap]
     scores = scores[np.searchsorted(rows, expansion)]
     cut = np.partition(scores, len(expansion) - cap)[len(expansion) - cap]
     above = expansion[scores > cut + RESCORE_TOLERANCE]
@@ -111,65 +117,40 @@ def _hub_cap(expansion: np.ndarray, rows: np.ndarray, scores: Optional[np.ndarra
     return np.concatenate((above, near[: cap - len(above)]))
 
 
-def gather_candidates(
-    g: KnowledgeGraph,
-    keys: KeySet,
-    embedder: Embedder,
-    cfg: PipelineConfig,
-    key_matrix: Optional[KeyMatrix] = None,
-) -> CandidateRows:
+def gather_candidates(g: KnowledgeGraph, keys: KeySet, embedder: Embedder, cfg: PipelineConfig) -> CandidateRows:
     """Union of neighborhood expansions over every resolvable key mention.
 
     Per-entity expansion is truncated at the hub cap, preferring the
-    highest-scoring triples against the key set (see ``_hub_cap``). Every
-    distinct row of the expansions is scored once, and the kept rows carry
-    their scores. ``key_matrix`` is ``embed_keys(keys, embedder)``, embedded
-    here if not given.
+    highest-scoring triples against the key set (see ``_hub_cap``). The keys
+    are embedded once, every distinct row of the expansions is scored once,
+    and the kept rows carry their scores and the keys.
     """
-    if key_matrix is None:
-        key_matrix = embed_keys(keys, embedder)
+    key_matrix = embed_keys(keys, embedder)
     expansions = [np.empty(0, dtype=np.int32)]
     for mention in keys.mentions():
         entity = g.resolve_entity(mention, embedder, cfg.resolve_threshold)
         if entity is not None:
             expansions.append(np.asarray(g.neighbors(entity, cfg.hops)))
     rows = distinct(np.concatenate(expansions))
-    scores = g.row_scores(rows, embedder, key_matrix.matrix) if key_matrix.keys else None
+    scores = key_matrix.row_scores(g, rows, embedder)
     chosen = [e if len(e) <= cfg.hub_cap else _hub_cap(e, rows, scores, cfg.hub_cap) for e in expansions]
     kept = distinct(np.concatenate(chosen))
-    if scores is not None:
-        scores = scores[np.searchsorted(rows, kept)]
-    return CandidateRows(g, kept, scores, key_matrix)
+    return CandidateRows(g, kept, scores[np.searchsorted(rows, kept)], key_matrix)
 
 
 def filter_by_similarity(
-    candidates: "CandidateRows | Iterable[Triple]",
-    keys: KeySet,
-    embedder: Embedder,
-    cfg: PipelineConfig,
-    key_matrix: Optional[KeyMatrix] = None,
+    candidates: CandidateRows, embedder: Embedder, cfg: PipelineConfig
 ) -> RetrievedTripleSet:
-    """Keep candidates whose max similarity over keys strictly exceeds epsilon.
+    """Keep candidates whose max similarity over their keys strictly exceeds epsilon.
 
-    Only candidates whose vectorised score lies above epsilon less
-    ``RESCORE_TOLERANCE`` are scored exactly by ``_best_key``. The
-    candidates' own scores serve when they were scored against this very
-    ``key_matrix``; otherwise the rows are scored here. Triples given other
-    than as ``CandidateRows`` are first loaded into a graph of their own.
+    Only candidates whose carried score lies above epsilon less
+    ``RESCORE_TOLERANCE`` are scored exactly by ``_best_key``.
     """
-    if not isinstance(candidates, CandidateRows):
-        graph = KnowledgeGraph(candidates)
-        candidates = CandidateRows(graph, np.arange(graph.triple_count))
-    if key_matrix is None:
-        key_matrix = embed_keys(keys, embedder)
-    scoring_keys, matrix = key_matrix
-    g, rows = candidates.graph, candidates.rows
+    scoring_keys, matrix = candidates.key_matrix
+    g = candidates.graph
     kept: list[ScoredTriple] = []
     if scoring_keys:
-        scores = candidates.scores
-        if scores is None or candidates.key_matrix is not key_matrix:
-            scores = g.row_scores(rows, embedder, matrix)
-        for row in rows[scores > cfg.epsilon - RESCORE_TOLERANCE]:
+        for row in candidates.rows[candidates.scores > cfg.epsilon - RESCORE_TOLERANCE]:
             triple = g.triple(row)
             best_key, best = _best_key(triple, embedder, scoring_keys, matrix)
             if best > cfg.epsilon:

@@ -39,7 +39,7 @@ def _passed(name: str) -> None:
 
 
 def test_criterion_1_retrieval_oracle_equivalence():
-    from kgqa.retrieval import filter_by_similarity
+    from kgqa.retrieval import CandidateRows, filter_by_similarity
 
     embedder = HashedEmbedder()
     rng = random.Random(42)
@@ -48,7 +48,8 @@ def test_criterion_1_retrieval_oracle_equivalence():
         graph = random_graph(rng, 200)
         keys = random_keys(rng, graph, 20)
         candidates = set(graph.triples)
-        result = filter_by_similarity(candidates, keys, embedder, PipelineConfig(epsilon=0.7))
+        rows = CandidateRows.of(candidates, keys, embedder)
+        result = filter_by_similarity(rows, embedder, PipelineConfig(epsilon=0.7))
         assert set(result.triples()) == brute_force_kept(candidates, keys, embedder, 0.7)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

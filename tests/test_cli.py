@@ -243,6 +243,16 @@ class TestFailsBeforeLoadingGraph:
         assert code == 1
         assert "dataset line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["", "\n  \r\n\t\n"], ids=["empty", "blank"])
+    def test_empty_dataset(self, text, tmp_path, capsys):
+        dataset = tmp_path / "empty.jsonl"
+        dataset.write_text(text)
+        code = main(["bench", "--graph", GRAPH, "--dataset", str(dataset), "--script", SCRIPT])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(dataset) in err and "no examples" in err
+
 
 class TestScriptCheck:
     def test_valid_script(self, capsys):
@@ -254,6 +264,14 @@ class TestScriptCheck:
         bad.write_text('{"match": "x"}\n')
         assert main(["script-check", "--script", str(bad)]) == 1
         assert "reply" in capsys.readouterr().err
+
+    def test_invalid_regex(self, tmp_path, capsys):
+        bad = tmp_path / "bad_regex.jsonl"
+        bad.write_text('{"regex": "([", "reply": "x"}\n')
+        assert main(["script-check", "--script", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "line 1" in err and "invalid regex" in err
 
 
 class TestUsage:

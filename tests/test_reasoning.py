@@ -23,7 +23,7 @@ from kgqa.reasoning import (
     solve,
     verify_answer,
 )
-from kgqa.retrieval import filter_by_similarity
+from kgqa.retrieval import CandidateRows, filter_by_similarity
 
 from conftest import one_node_map
 
@@ -37,7 +37,8 @@ def no_evidence() -> RetrievedTripleSet:
 def beckham_evidence() -> RetrievedTripleSet:
     t = Triple.from_surface("David Beckham", "recruited_by", "Alex Ferguson")
     keys = build_key_set([TripleKey("David Beckham", "recruited_by", "Alex Ferguson")])
-    return filter_by_similarity({t}, keys, HashedEmbedder(), PipelineConfig(epsilon=0.5))
+    embedder = HashedEmbedder()
+    return filter_by_similarity(CandidateRows.of({t}, keys, embedder), embedder, PipelineConfig(epsilon=0.5))
 
 
 def answered(question: str, answer: str, node: str) -> NodeRecord:

@@ -24,6 +24,10 @@ def eps(epsilon: float) -> PipelineConfig:
     return PipelineConfig(epsilon=epsilon)
 
 
+def filter_triples(triples, keys: KeySet, embedder, cfg: PipelineConfig):
+    return filter_by_similarity(CandidateRows.of(triples, keys, embedder), embedder, cfg)
+
+
 def brute_force_kept(candidates, keys: KeySet, embedder, epsilon):
     """Independent all-pairs oracle using pure-python cosine."""
     from kgqa.extraction import serialize_key
@@ -79,19 +83,19 @@ class TestFilterBySimilarity:
     def test_exact_serialization_match_scores_one(self):
         t = Triple.from_surface("a", "b", "c")
         keys = build_key_set([TripleKey("a", "b", "c")])
-        result = filter_by_similarity({t}, keys, HashedEmbedder(), eps(0.99))
+        result = filter_triples({t}, keys, HashedEmbedder(), eps(0.99))
         assert len(result.kept) == 1
         assert result.kept[0].score == pytest.approx(1.0)
 
     def test_epsilon_one_keeps_nothing(self):
         t = Triple.from_surface("a", "b", "c")
         keys = build_key_set([TripleKey("a", "b", "c")])
-        result = filter_by_similarity({t}, keys, HashedEmbedder(), eps(1.0))
+        result = filter_triples({t}, keys, HashedEmbedder(), eps(1.0))
         assert result.kept == ()
 
     def test_empty_candidates(self):
         keys = build_key_set([EntityKey("x")])
-        result = filter_by_similarity(set(), keys, HashedEmbedder(), eps(0.5))
+        result = filter_triples(set(), keys, HashedEmbedder(), eps(0.5))
         assert result.kept == () and result.candidate_count == 0
 
     def test_matches_brute_force_oracle_on_random_fixtures(self):
@@ -101,7 +105,7 @@ class TestFilterBySimilarity:
             graph = random_graph(rng, 200)
             keys = random_keys(rng, graph, 20)
             candidates = set(graph.triples)
-            result = filter_by_similarity(candidates, keys, embedder, eps(0.7))
+            result = filter_triples(candidates, keys, embedder, eps(0.7))
             assert set(result.triples()) == brute_force_kept(candidates, keys, embedder, 0.7)
 
     def test_monotone_in_epsilon(self):
@@ -110,8 +114,8 @@ class TestFilterBySimilarity:
         graph = random_graph(rng, 100)
         keys = random_keys(rng, graph, 10)
         candidates = set(graph.triples)
-        kept_loose = set(filter_by_similarity(candidates, keys, embedder, eps(0.3)).triples())
-        kept_tight = set(filter_by_similarity(candidates, keys, embedder, eps(0.8)).triples())
+        kept_loose = set(filter_triples(candidates, keys, embedder, eps(0.3)).triples())
+        kept_tight = set(filter_triples(candidates, keys, embedder, eps(0.8)).triples())
         assert kept_tight <= kept_loose
 
     def test_adding_a_key_never_shrinks_kept_set(self):
@@ -120,9 +124,9 @@ class TestFilterBySimilarity:
         graph = random_graph(rng, 100)
         keys = random_keys(rng, graph, 5)
         candidates = set(graph.triples)
-        before = set(filter_by_similarity(candidates, keys, embedder, eps(0.5)).triples())
+        before = set(filter_triples(candidates, keys, embedder, eps(0.5)).triples())
         more = build_key_set(keys.all_keys() + [EntityKey("alpha beta")])
-        after = set(filter_by_similarity(candidates, more, embedder, eps(0.5)).triples())
+        after = set(filter_triples(candidates, more, embedder, eps(0.5)).triples())
         assert before <= after
 
     def test_result_independent_of_candidate_order(self):
@@ -131,9 +135,9 @@ class TestFilterBySimilarity:
         graph = random_graph(rng, 50)
         keys = random_keys(rng, graph, 8)
         candidates = list(graph.triples)
-        a = filter_by_similarity(set(candidates), keys, embedder, eps(0.4))
+        a = filter_triples(set(candidates), keys, embedder, eps(0.4))
         rng.shuffle(candidates)
-        b = filter_by_similarity(set(candidates), keys, embedder, eps(0.4))
+        b = filter_triples(set(candidates), keys, embedder, eps(0.4))
         assert [s.triple for s in a.kept] == [s.triple for s in b.kept]
         assert [s.score for s in a.kept] == [s.score for s in b.kept]
 
@@ -142,7 +146,7 @@ class TestFilterBySimilarity:
         rng = random.Random(19)
         graph = random_graph(rng, 80)
         keys = random_keys(rng, graph, 8)
-        result = filter_by_similarity(set(graph.triples), keys, embedder, eps(0.0))
+        result = filter_triples(set(graph.triples), keys, embedder, eps(0.0))
         ranks = [(-s.score, s.triple.sort_key()) for s in result.kept]
         assert ranks == sorted(ranks)
 
@@ -208,28 +212,11 @@ class TestGatherCandidates:
         keys = build_key_set([EntityKey("east"), EntityKey("west"), TripleKey("west", "links", "spoke 7")])
         cfg = PipelineConfig(hops=2, hub_cap=10)
         embedder = HashedEmbedder()
-        key_matrix = embed_keys(keys, embedder)
-        candidates = gather_candidates(graph, keys, embedder, cfg, key_matrix)
+        candidates = gather_candidates(graph, keys, embedder, cfg)
         assert scored == [list(range(graph.triple_count))]
         assert len(candidates) == 10
-        filter_by_similarity(candidates, keys, embedder, cfg, key_matrix)
+        filter_by_similarity(candidates, embedder, cfg)
         assert len(scored) == 1
-
-    def test_gathered_scores_ignored_for_another_key_matrix(self):
-        # The carried scores were taken against the keys they were gathered
-        # with; filtering against other keys scores the rows afresh.
-        graph = hub_graph(["ash elm", "oak yew", "birch fir"])
-        embedder = HashedEmbedder()
-        gathered_keys = build_key_set([EntityKey("hub"), TripleKey("hub", "links", "ash elm")])
-        other_keys = build_key_set([EntityKey("hub"), TripleKey("hub", "links", "oak yew")])
-        candidates = gather_candidates(graph, gathered_keys, embedder, PipelineConfig())
-        assert candidates.scores is not None
-        other = embed_keys(other_keys, embedder)
-        fresh = CandidateRows(graph, candidates.rows)
-        got = filter_by_similarity(candidates, other_keys, embedder, eps(0.7), other)
-        want = filter_by_similarity(fresh, other_keys, embedder, eps(0.7), other)
-        assert got == want
-        assert [s.triple.tail.canonical for s in got.kept] == ["oak yew"]
 
 
 # The per-triple scan that the blocked scorer replaced, kept as the reference.
@@ -322,7 +309,7 @@ def test_filter_matches_reference_scan(triples, keys, kind, dimension, epsilon):
             {s for t in candidates if 0.0 <= (s := reference_best_key(t, embedder, keys)[1]) <= 1.0}
         )
         epsilon = attained[epsilon % len(attained)] if attained else 0.5
-    result = filter_by_similarity(candidates, keys, embedder, eps(epsilon))
+    result = filter_triples(candidates, keys, embedder, eps(epsilon))
     expected = reference_filter(candidates, keys, embedder, epsilon)
     assert [(s.triple, s.best_key, s.score) for s in result.kept] == expected
     assert all(s.best_key is key for s, (_, key, _) in zip(result.kept, expected))
@@ -362,7 +349,7 @@ def test_non_unit_embedder_rejected(fixture_graph):
     with pytest.raises(ValueError, match="embedder contract"):
         gather_candidates(fixture_graph, keys, embedder, PipelineConfig())
     with pytest.raises(ValueError, match="embedder contract"):
-        filter_by_similarity(set(fixture_graph.triples), keys, embedder, PipelineConfig())
+        filter_triples(set(fixture_graph.triples), keys, embedder, PipelineConfig())
 
 
 class TableEmbedder:
@@ -428,6 +415,36 @@ def test_hub_cap_independent_of_expansion_order(tails, keys, cap, seed):
     assert results[0] == results[1] == results[2]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    triples=st.lists(st.tuples(_text, _text, _text), max_size=30),
+    keys=_keys,
+    kind=_kinds,
+    dimension=_dimensions,
+    hops=st.integers(1, 3),
+    cap=st.integers(1, 8),
+    epsilon=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+)
+def test_gathered_scores_filter_as_scores_taken_afresh(triples, keys, kind, dimension, hops, cap, epsilon):
+    # The scores carried from gathering, hub cap included, are each row's own
+    # score, so they pre-screen the filter as the candidates' triples scored
+    # again in a graph of their own do.
+    embedder = make_embedder(kind, dimension)
+    graph = KnowledgeGraph(Triple.from_surface(*t) for t in triples)
+    cfg = PipelineConfig(hops=hops, hub_cap=cap, epsilon=epsilon)
+    gathered = gather_candidates(graph, keys, embedder, cfg)
+    fresh = CandidateRows.of(gathered.triples(), keys, embedder)
+    fresh_scores = dict(zip(fresh.triples(), fresh.scores))
+    assert len(fresh) == len(gathered)
+    for triple, score in zip(gathered.triples(), gathered.scores):
+        assert abs(score - fresh_scores[triple]) <= RESCORE_TOLERANCE
+    got = filter_by_similarity(gathered, embedder, cfg)
+    want = filter_by_similarity(fresh, embedder, cfg)
+    listed = [[(s.triple, s.best_key, s.score) for s in result.kept] for result in (got, want)]
+    assert listed[0] == listed[1]
+    assert got.candidate_count == want.candidate_count
+
+
 def test_expansion_longer_than_a_block():
     embedder = HashedEmbedder(64)
     words = ["ash", "birch", "cedar", "elm", "fir", "oak", "yew", "pine"]
@@ -441,7 +458,7 @@ def test_expansion_longer_than_a_block():
     ref = reference_hub_cap(graph.triples, keys, embedder, 700)
     assert not ref.on_edge
     assert set(candidates.triples()) == ref.new
-    result = filter_by_similarity(set(graph.triples), keys, embedder, cfg)
+    result = filter_triples(set(graph.triples), keys, embedder, cfg)
     expected = reference_filter(graph.triples, keys, embedder, 0.3)
     assert len(expected) > 512
     assert [(s.triple, s.best_key, s.score) for s in result.kept] == expected
