@@ -114,6 +114,8 @@ class QAExample:
     gold_answers: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not self.question.strip():
+            raise ValueError("question must be non-empty")
         if not self.gold_answers:
             raise ValueError("gold_answers must be non-empty")
 

@@ -20,9 +20,8 @@ index, which owns all similarity scoring (entities against a mention for
 a fuzzy resolve, rows against a question's keys for retrieval). For an
 embedder with ``sparse_counts`` it is a ``CountTable``, which embeds nothing
 and relies on ``serialize_triple``'s form, and which scores a mention from
-the entity postings of the mention's buckets, returning only the entities
-they touch: any other shares no bucket with the mention and scores exactly
-0; for any other embedder, a ``DenseIndex``, which scores every entity.
+the entity postings of the mention's buckets; for any other embedder, a
+``DenseIndex``. Both return every entity's score, indexed by entity id.
 """
 from __future__ import annotations
 
@@ -271,22 +270,16 @@ class KnowledgeGraph:
         if embedder is None or not self._entity_ids:
             return None
         mention_vec = embedder.embed(canonical)
-        ids, scores = self._index(embedder).entity_scores(mention_vec, embedder)
+        if not mention_vec.any():
+            # A zero vector scores exactly 0 against every entity, so the first
+            # entity wins under a negative threshold and none otherwise.
+            return self._entity(0) if threshold < 0 else None
+        scores = self._index(embedder).entity_scores(mention_vec, embedder)
         np.clip(scores, -1.0, 1.0, out=scores)
-        # Entities left out of ``ids`` score exactly 0.
-        left_out = len(ids) < self.entity_count
-        floor = max(float(scores.max(initial=0.0 if left_out else -1.0)), threshold) - RESCORE_TOLERANCE
-        shortlist = ids[scores >= floor]
-        if left_out and floor <= 0.0:
-            # Only the first of a tie can win, so the smallest left-out id,
-            # the first id of the ascending ``ids`` that is not its position,
-            # stands for all of them.
-            mismatch = np.flatnonzero(ids != np.arange(len(ids)))
-            smallest = mismatch[0] if mismatch.size else len(ids)
-            shortlist = np.insert(shortlist, np.searchsorted(shortlist, smallest), smallest)
+        floor = max(float(scores.max()), threshold) - RESCORE_TOLERANCE
         best: Optional[int] = None
         best_score = threshold
-        for row in shortlist.tolist():
+        for row in np.flatnonzero(scores >= floor).tolist():
             score = cosine_sim(mention_vec, embedder.embed(self._texts[row]))
             if score > best_score:
                 best = row
@@ -362,10 +355,9 @@ class CountTable:
     entities' segments are filled together on the first fuzzy resolve and
     copied into postings: their pairs in bucket-major order, with each
     bucket's offsets. A mention is scored from the postings of its non-zero
-    buckets alone, and only the entities those touch are returned, each
-    summing its terms in its segment's order; an entity that shares no
-    bucket with the mention scores exactly 0. As
-    the counts are additive over texts joined by a space, a triple's vector
+    buckets alone, each entity summing its terms in its segment's order; an
+    entity that shares no bucket with the mention scores exactly 0. As the
+    counts are additive over texts joined by a space, a triple's vector
     is the sum of its head surface's, relation's and tail surface's (see
     ``serialize_triple``), so its dot product with a key is the sum of
     theirs, scaled by the triple's inverse norm; that norm is computed the
@@ -418,24 +410,18 @@ class CountTable:
             self._stop[missing] = stops
             self._size = end
 
-    def entity_scores(self, vec: np.ndarray, embedder: Embedder) -> tuple[np.ndarray, np.ndarray]:
-        """The ascending ids of the entities sharing a bucket with the
-        unit-or-zero ``vec``, and their cosine similarities with it,
-        unclipped, from the postings of ``vec``'s non-zero buckets alone;
-        every other entity scores exactly 0. Each entity's terms are summed
-        in bucket order, the order of its segment."""
+    def entity_scores(self, vec: np.ndarray, embedder: Embedder) -> np.ndarray:
+        """Every entity's cosine similarity with the unit-or-zero ``vec``,
+        unclipped and indexed by entity id, from the postings of ``vec``'s
+        non-zero buckets alone: an entity sharing none scores exactly 0.
+        Each entity's terms are summed in bucket order, its segment's."""
         entity, values, offsets, inverse_norms = self._postings or self._build_postings(embedder)
         buckets = np.flatnonzero(vec)
         starts, stops = offsets[buckets], offsets[buckets + 1]
         at = _ranges(starts, stops)
         weights = values[at] * np.repeat(vec[buckets], stops - starts)
-        owners = entity[at]
-        ids = distinct(owners)
-        # With no postings to add, bincount returns integers.
-        scores = np.bincount(np.searchsorted(ids, owners), weights=weights, minlength=len(ids))
-        scores = scores.astype(float, copy=False)
-        scores *= inverse_norms[ids]
-        return ids, scores
+        # With no postings to add, bincount returns integers: not in place.
+        return np.bincount(entity[at], weights=weights, minlength=self._entities) * inverse_norms
 
     def _build_postings(self, embedder: Embedder) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The entities' ``(entity, count)`` pairs sorted stably by bucket,
@@ -518,14 +504,14 @@ class DenseIndex:
         self._entity_matrix: Optional[np.ndarray] = None
         self._lock = threading.Lock()
 
-    def entity_scores(self, vec: np.ndarray, embedder: Embedder) -> tuple[np.ndarray, np.ndarray]:
-        """Every entity's id, ascending, and its cosine similarity with the
-        unit-or-zero ``vec``, unclipped."""
+    def entity_scores(self, vec: np.ndarray, embedder: Embedder) -> np.ndarray:
+        """Every entity's cosine similarity with the unit-or-zero ``vec``,
+        unclipped and indexed by entity id."""
         with self._lock:
             if self._entity_matrix is None:
                 entities = self._texts[: self._entities]
                 self._entity_matrix = check_unit_rows(embed_matrix(embedder, entities))
-        return np.arange(self._entities), self._entity_matrix @ vec
+        return self._entity_matrix @ vec
 
     def row_scores(
         self, graph: KnowledgeGraph, rows: np.ndarray, key_matrix: np.ndarray, embedder: Embedder

@@ -196,15 +196,12 @@ def build_mind_map(
 
 
 def bottom_up_order(m: MindMap) -> list[str]:
-    """Post-order node ids: every node strictly after all its descendants."""
+    """Post-order node ids: every node strictly after all its descendants.
+    It is the reverse of a pre-order that visits children last to first."""
     order: list[str] = []
-    stack: list[tuple[str, bool]] = [(m.root, False)]
+    stack = [m.root]
     while stack:
-        node_id, expanded = stack.pop()
-        if expanded:
-            order.append(node_id)
-            continue
-        stack.append((node_id, True))
-        for child_id in reversed(m.nodes[node_id].children):
-            stack.append((child_id, False))
-    return order
+        node_id = stack.pop()
+        order.append(node_id)
+        stack.extend(m.nodes[node_id].children)
+    return order[::-1]

@@ -243,6 +243,15 @@ class TestFailsBeforeLoadingGraph:
         assert code == 1
         assert "dataset line 2" in capsys.readouterr().err
 
+    def test_blank_question(self, tmp_path, capsys):
+        dataset = tmp_path / "blank.jsonl"
+        dataset.write_text(
+            '{"id": "1", "question": "q?", "answers": ["a"]}\n{"id": "2", "question": "   ", "answers": ["x"]}\n'
+        )
+        code = main(["bench", "--graph", GRAPH, "--dataset", str(dataset), "--script", SCRIPT])
+        assert code == 1
+        assert "dataset line 2: question must be non-empty" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["", "\n  \r\n\t\n"], ids=["empty", "blank"])
     def test_empty_dataset(self, text, tmp_path, capsys):
         dataset = tmp_path / "empty.jsonl"

@@ -243,6 +243,13 @@ class TestLoadDataset:
         with pytest.raises(ValueError):
             load_dataset(['{"id": "1", "question": "q?", "answers": []}'])
 
+    @pytest.mark.parametrize("question", ["", "   "])
+    def test_blank_question_rejected(self, question):
+        lines = ['{"id": "0", "question": "q?", "answers": ["a"]}']
+        lines.append(f'{{"id": "1", "question": "{question}", "answers": ["x"]}}')
+        with pytest.raises(ValueError, match=r"^dataset line 2: question must be non-empty$"):
+            load_dataset(lines)
+
     @pytest.mark.parametrize("answers", ['"Paris"', '{"a": 1}'])
     def test_answers_must_be_a_list(self, answers):
         lines = ['{"id": "0", "question": "q?", "answers": ["a"]}']

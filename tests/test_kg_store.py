@@ -487,6 +487,26 @@ def test_entity_index_not_built_for_exact_mentions(fixture_graph):
     assert len(fixture_graph._indexes) == 0
 
 
+@pytest.mark.parametrize("make", [CountingEmbedder, DenseCountingEmbedder])
+@pytest.mark.parametrize("threshold", [-0.5, 0.0, 0.7])
+def test_tokenless_mention_embeds_only_itself(make, threshold):
+    # "!!!" embeds to the zero vector, which scores exactly 0 against every
+    # entity: under a negative threshold the first entity wins, else none,
+    # and no index is built nor any entity embedded.
+    graph = load_graph(f"head {i}\tr\ttail {i}" for i in range(250))
+    assert graph.entity_count == 500
+    embedder = make()
+    embedded = []
+    embed = embedder.embed
+    embedder.embed = lambda text: embedded.append(text) or embed(text)
+    resolved = graph.resolve_entity("!!!", embedder, threshold)
+    assert resolved == (graph.entities[0] if threshold < 0 else None)
+    assert resolved == reference_resolve(graph, "!!!", HashedEmbedder(), threshold)
+    assert embedded == ["!!!"]
+    assert (embedder.bulk_calls, getattr(embedder, "calls", [])) == (0, [])
+    assert len(graph._indexes) == 0
+
+
 def test_entity_index_freed_with_its_embedder(fixture_graph):
     # Fuzzy resolves and row scoring share one index per embedder; a bare
     # HashedEmbedder is a key too, so the index must not refer to it.
@@ -612,7 +632,7 @@ def test_bulk_filled_table_matches_text_by_text_reference(seed, threads):
     reference = CountTable(graph, dimension)
     for text in range(len(graph._texts)):
         reference._fill(np.array([text]), md5.sparse_counts)
-    want_entities = dense_entity_scores(reference, mention, md5)
+    want_entities = checked_entity_scores(reference, mention, md5)
     want_rows = reference.row_scores(graph, rows, keys, md5)
 
     embedder = CachingEmbedder(HashedEmbedder(dimension))
@@ -632,7 +652,7 @@ def test_bulk_filled_table_matches_text_by_text_reference(seed, threads):
         assert table._buckets[got].tobytes() == reference._buckets[want].tobytes()
         assert table._values[got].tobytes() == reference._values[want].tobytes()
     assert table._row_inverse_norms.tobytes() == reference._row_inverse_norms.tobytes()
-    assert dense_entity_scores(table, mention, embedder).tobytes() == want_entities.tobytes()
+    assert checked_entity_scores(table, mention, embedder).tobytes() == want_entities.tobytes()
     for _, scores in results:
         assert scores.tobytes() == want_rows.tobytes()
 
@@ -646,21 +666,19 @@ def test_unsorted_sparse_counts_rejected(fixture_graph):
         fixture_graph.resolve_entity("Alex Ferguson OBE", Reversed(64), 0.5)
 
 
-def dense_entity_scores(table, vec, embedder):
-    """``table.entity_scores`` as one score per entity, 0 for an entity it
-    leaves out, once its ids are checked to be, in ascending order, those of
-    the entities that share a bucket with ``vec``."""
-    ids, scores = table.entity_scores(vec, embedder)
+def checked_entity_scores(table, vec, embedder):
+    """``table.entity_scores``, once it is checked to hold one score per
+    entity, exactly 0 for every entity that shares no bucket with ``vec``."""
+    scores = table.entity_scores(vec, embedder)
     buckets = np.flatnonzero(vec)
-    sharing = [
+    apart = [
         entity
         for entity in range(table._entities)
-        if np.isin(table._buckets[table._start[entity] : table._stop[entity]], buckets).any()
+        if not np.isin(table._buckets[table._start[entity] : table._stop[entity]], buckets).any()
     ]
-    assert ids.tolist() == sharing
-    dense = np.zeros(table._entities)
-    dense[ids] = scores
-    return dense
+    assert scores.shape == (table._entities,)
+    assert scores[apart].tobytes() == np.zeros(len(apart)).tobytes()
+    return scores
 
 
 def entity_major_scores(table, vec):
@@ -699,13 +717,13 @@ def test_postings_match_entity_major_scan(seed, triples, dimension, zero, signed
     mention = "!!!" if zero else _mention(rng)
     vec = embedder.embed(normalize(mention))
     table = graph._index(embedder)
-    got = dense_entity_scores(table, vec, embedder)
+    got = checked_entity_scores(table, vec, embedder)
     assert got.tobytes() == entity_major_scores(table, vec).tobytes()
     if zero:
         assert got.tobytes() == np.zeros(graph.entity_count).tobytes()
     for probe in (_mention(rng), mention):
         probe_vec = embedder.embed(normalize(probe))
-        got = dense_entity_scores(table, probe_vec, embedder)
+        got = checked_entity_scores(table, probe_vec, embedder)
         assert got.tobytes() == entity_major_scores(table, probe_vec).tobytes()
         assert graph.resolve_entity(probe, embedder, threshold) == reference_resolve(graph, probe, embedder, threshold)
 
@@ -730,8 +748,8 @@ def test_mention_sharing_no_bucket_scores_every_entity_zero(dimension, threshold
     mention = _unshared_token(graph, embedder)
     vec = embedder.embed(mention)
     table = graph._index(embedder)
-    assert table.entity_scores(vec, embedder)[0].size == 0
-    scores = dense_entity_scores(table, vec, embedder)
+    scores = checked_entity_scores(table, vec, embedder)
+    assert np.flatnonzero(scores).size == 0
     assert scores.tobytes() == np.zeros(graph.entity_count).tobytes()
     assert scores.tobytes() == entity_major_scores(table, vec).tobytes()
     expected = reference_resolve(graph, mention, embedder, threshold)
@@ -762,8 +780,8 @@ def test_untouched_entity_outranks_negative_scores(threshold):
     touched = sharing(mention)
     smallest = min(set(range(len(names))) - set(touched))
     assert 0 < smallest < touched[-1]
-    ids, _ = graph._index(embedder).entity_scores(embedder.embed(mention), embedder)
-    assert ids.tolist() == touched
+    scores = checked_entity_scores(graph._index(embedder), embedder.embed(mention), embedder)
+    assert np.flatnonzero(scores).tolist() == touched
     expected = reference_resolve(graph, mention, embedder, threshold)
     assert graph.resolve_entity(mention, embedder, threshold) == expected
     assert expected == (graph.entities[smallest] if threshold < 0 else None)
