@@ -15,13 +15,15 @@ canonical and relation text: row order is ``Triple.sort_key`` order. A CSR
 adjacency lists each entity's rows. ``Triple`` and ``EntityId`` objects are
 built only when asked for.
 
-Built later, under a lock, and dropped with its embedder: the per-embedder
-index, which owns all similarity scoring (entities against a mention for
-a fuzzy resolve, rows against a question's keys for retrieval). For an
-embedder with ``sparse_counts`` it is a ``CountTable``, which embeds nothing
-and relies on ``serialize_triple``'s form, and which scores a mention from
-the entity postings of the mention's buckets; for any other embedder, a
-``DenseIndex``. Both return every entity's score, indexed by entity id.
+Built on an embedder's first use of the graph, under a lock, and dropped
+with its embedder: the per-embedder index, which owns all similarity
+scoring (entities against a mention for a fuzzy resolve, rows against a
+question's keys for retrieval). For an embedder with ``sparse_counts`` it
+is a ``CountTable``, which counts every text of the graph in one call,
+embeds nothing and relies on ``serialize_triple``'s form, and which scores
+entities and rows alike from the postings of a vector's buckets; for any
+other embedder, a ``DenseIndex``. Both return every entity's score,
+indexed by entity id.
 """
 from __future__ import annotations
 
@@ -31,11 +33,11 @@ import weakref
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .embedding import RESCORE_TOLERANCE, Embedder, check_unit_rows, cosine_sim, embed_matrix
+from .embedding import RESCORE_TOLERANCE, Embedder, check_unit_rows, cosine_sim, embed_matrix, ranges
 
 
 def normalize(text: str) -> str:
@@ -111,13 +113,6 @@ def serialize_triple(t: Triple) -> str:
     return f"{t.head.surface} {t.relation} {t.tail.surface}"
 
 
-def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """The concatenation of ``arange(start, stop)`` over the pairs."""
-    lengths = stops - starts
-    offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    return offsets + np.arange(len(offsets))
-
-
 def distinct(values: np.ndarray) -> np.ndarray:
     """The sorted distinct values of a 1-d int array, of ``values``' dtype,
     as ``np.unique`` gives them, by one sort: numpy >= 2.3 dedupes by
@@ -137,13 +132,6 @@ _BLOCK_ROWS = 512
 def _inverse(norms: np.ndarray) -> np.ndarray:
     """1 / norm, and 0 where the norm is 0."""
     return np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-
-
-def _grown(items: np.ndarray, size: int, capacity: int) -> np.ndarray:
-    """The first ``size`` of ``items`` at the head of a new array of ``capacity``."""
-    out = np.empty(capacity, dtype=items.dtype)
-    out[:size] = items[:size]
-    return out
 
 
 class KnowledgeGraph:
@@ -291,7 +279,7 @@ class KnowledgeGraph:
             index = self._indexes.get(embedder)
             if index is None:
                 kind = CountTable if getattr(embedder, "sparse_counts", None) is not None else DenseIndex
-                index = self._indexes[embedder] = kind(self, embedder.dimension)
+                index = self._indexes[embedder] = kind(self, embedder)
         return index
 
     def row_scores(self, rows: np.ndarray, embedder: Embedder, key_matrix: np.ndarray) -> np.ndarray:
@@ -326,7 +314,7 @@ class KnowledgeGraph:
             frontier = distinct(ends)
             visited[frontier] = True
             rows = self._adjacent_rows[
-                _ranges(self._adjacency_start[frontier], self._adjacency_start[frontier + 1])
+                ranges(self._adjacency_start[frontier], self._adjacency_start[frontier + 1])
             ]
             collected.append(rows)
         return distinct(np.concatenate(collected))
@@ -345,147 +333,96 @@ class KnowledgeGraph:
 
 
 class CountTable:
-    """Sparse token counts of a graph's texts under one embedder's
-    ``sparse_counts``.
+    """Sparse token counts of all of a graph's texts under one embedder's
+    ``sparse_counts``, counted whole in one call when the table is built.
 
     Each of the graph's distinct texts (canonicals, surfaces, relations) owns
-    a segment of ``(bucket, count)`` pairs, filled the first time the text
-    is needed: the texts a call lacks are counted in one ``sparse_counts``
-    call, whose sorted arrays are the segments as they are stored. The
-    entities' segments are filled together on the first fuzzy resolve and
-    copied into postings: their pairs in bucket-major order, with each
-    bucket's offsets. A mention is scored from the postings of its non-zero
-    buckets alone, each entity summing its terms in its segment's order; an
-    entity that shares no bucket with the mention scores exactly 0. As the
-    counts are additive over texts joined by a space, a triple's vector
-    is the sum of its head surface's, relation's and tail surface's (see
-    ``serialize_triple``), so its dot product with a key is the sum of
-    theirs, scaled by the triple's inverse norm; that norm is computed the
-    first time its row is scored and then kept. The table holds no reference
-    to the embedder, so the graph's weak map can drop it with the embedder:
-    each method takes the embedder and reads its ``sparse_counts``.
+    the segment ``_start[t]:_start[t + 1]`` of ``(bucket, count)`` pairs, in
+    bucket order: the sorted arrays ``sparse_counts`` returned, stored as
+    they came. The same pairs are also kept bucket-major, as postings with
+    each bucket's offsets, so a vector is dotted with every text at once from
+    the postings of its non-zero buckets alone, each text summing its terms
+    in its segment's order; a text that shares no bucket with the vector
+    dots exactly 0. Entities open the pool, so their scores are the first
+    texts' dots, scaled by their inverse norms. As the counts are additive
+    over texts joined by a space, a triple's vector is the sum of its head
+    surface's, relation's and tail surface's (see ``serialize_triple``), so
+    its dot product with a key is the sum of theirs, scaled by the triple's
+    inverse norm; that norm is computed, from the three segments, only for a
+    row whose best key dot is non-zero, as a zero dot scores 0 whatever the
+    norm. Nothing writes to the table once it is built, and it holds no
+    reference to the embedder, so the graph's weak map can drop it with the
+    embedder; its methods take the embedder, as ``DenseIndex``'s do, but the
+    counts are already taken.
     """
 
-    def __init__(self, graph: KnowledgeGraph, dimension: int):
-        self._texts = graph._texts
-        self._dimension = dimension
-        self._start = np.full(len(self._texts), -1, dtype=np.int64)
-        self._stop = np.full(len(self._texts), -1, dtype=np.int64)
-        self._buckets = np.empty(0, dtype=np.int64)
-        self._values = np.empty(0)
-        self._size = 0
-        self._lock = threading.Lock()
-        self._entities = graph.entity_count
-        self._postings: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
-        # Not ``_lock``: building the postings fills, and ``_fill`` takes that.
-        self._postings_lock = threading.Lock()
-        self._row_inverse_norms = np.full(graph.triple_count, np.nan)
+    def __init__(self, graph: KnowledgeGraph, embedder: Embedder):
+        count = len(graph._texts)
+        dimension = self._dimension = embedder.dimension
+        owner, buckets, values = embedder.sparse_counts(graph._texts)
+        # Unsorted owners would give a text other texts' pairs as its segment.
+        if owner.size and not (0 <= owner[0] and owner[-1] < count and (np.diff(owner) >= 0).all()):
+            raise ValueError("embedder contract: sparse_counts must be sorted by text index")
+        self._start = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=count), out=self._start[1:])
+        owner = np.asarray(owner, dtype=np.int32)
+        self._buckets = np.asarray(buckets, dtype=np.min_scalar_type(dimension - 1))
+        self._values = np.asarray(values, dtype=np.float64)
+        del buckets, values
+        # Entities open the pool, so their pairs open the arrays.
+        pairs = self._start[graph.entity_count]
+        squares = np.bincount(owner[:pairs], weights=self._values[:pairs] ** 2, minlength=graph.entity_count)
+        self._entity_inverse_norms = _inverse(np.sqrt(squares))
+        # A stable sort keeps each bucket's pairs in text order; numpy sorts
+        # small unsigned keys by radix.
+        order = np.argsort(self._buckets, kind="stable")
+        self._posted_texts, self._posted_values = owner[order], self._values[order]
+        del owner, order
+        self._offsets = np.zeros(dimension + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self._buckets, minlength=dimension), out=self._offsets[1:])
 
-    def _fill(
-        self, texts: np.ndarray, sparse_counts: Callable[[Sequence[str]], tuple[np.ndarray, ...]]
-    ) -> None:
-        """Give every text id in ``texts`` its segment, from one
-        ``sparse_counts`` call for those it lacks."""
-        if (self._stop[texts] >= 0).all():
-            return
-        with self._lock:
-            missing = distinct(texts[self._stop[texts] < 0])
-            if not missing.size:
-                return
-            owner, buckets, counts = sparse_counts([self._texts[text] for text in missing.tolist()])
-            # Unsorted owners would publish other texts' pairs as a segment.
-            if owner.size and not (0 <= owner[0] and owner[-1] < len(missing) and (np.diff(owner) >= 0).all()):
-                raise ValueError("embedder contract: sparse_counts must be sorted by text index")
-            lengths = np.bincount(owner, minlength=len(missing))
-            end = self._size + len(buckets)
-            if end > len(self._buckets):
-                capacity = max(end, 2 * len(self._buckets))
-                self._buckets = _grown(self._buckets, self._size, capacity)
-                self._values = _grown(self._values, self._size, capacity)
-            self._buckets[self._size : end] = buckets
-            self._values[self._size : end] = counts
-            stops = self._size + np.cumsum(lengths)
-            # Segments are written before they are published.
-            self._start[missing] = stops - lengths
-            self._stop[missing] = stops
-            self._size = end
+    def _text_dots(self, vec: np.ndarray) -> np.ndarray:
+        """Every text's dot product with ``vec``'s counts, indexed by text
+        id, from the postings of ``vec``'s non-zero buckets."""
+        buckets = np.flatnonzero(vec)
+        starts, stops = self._offsets[buckets], self._offsets[buckets + 1]
+        at = ranges(starts, stops)
+        weights = self._posted_values[at] * np.repeat(vec[buckets], stops - starts)
+        # With no postings to add, bincount returns integers.
+        return np.bincount(self._posted_texts[at], weights=weights, minlength=len(self._start) - 1)
 
     def entity_scores(self, vec: np.ndarray, embedder: Embedder) -> np.ndarray:
         """Every entity's cosine similarity with the unit-or-zero ``vec``,
-        unclipped and indexed by entity id, from the postings of ``vec``'s
-        non-zero buckets alone: an entity sharing none scores exactly 0.
-        Each entity's terms are summed in bucket order, its segment's."""
-        entity, values, offsets, inverse_norms = self._postings or self._build_postings(embedder)
-        buckets = np.flatnonzero(vec)
-        starts, stops = offsets[buckets], offsets[buckets + 1]
-        at = _ranges(starts, stops)
-        weights = values[at] * np.repeat(vec[buckets], stops - starts)
-        # With no postings to add, bincount returns integers: not in place.
-        return np.bincount(entity[at], weights=weights, minlength=self._entities) * inverse_norms
-
-    def _build_postings(self, embedder: Embedder) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The entities' ``(entity, count)`` pairs sorted stably by bucket,
-        so each bucket's pairs ascend by entity; ``dimension + 1`` offsets
-        of the buckets' runs; and the entities' inverse norms. Built once."""
-        with self._postings_lock:
-            if self._postings is None:
-                entities = np.arange(self._entities, dtype=np.int32)
-                self._fill(entities, embedder.sparse_counts)
-                starts, stops = self._start[entities], self._stop[entities]
-                at = _ranges(starts, stops)
-                owner, buckets, values = np.repeat(entities, stops - starts), self._buckets[at], self._values[at]
-                squares = np.bincount(owner, weights=values * values, minlength=self._entities)
-                order = np.argsort(buckets, kind="stable")
-                offsets = np.zeros(self._dimension + 1, dtype=np.int64)
-                np.cumsum(np.bincount(buckets, minlength=self._dimension), out=offsets[1:])
-                self._postings = owner[order], values[order], offsets, _inverse(np.sqrt(squares))
-        return self._postings
+        unclipped and indexed by entity id: exactly 0 for an entity that
+        shares no bucket with ``vec``."""
+        return self._text_dots(vec)[: len(self._entity_inverse_norms)] * self._entity_inverse_norms
 
     def row_scores(
         self, graph: KnowledgeGraph, rows: np.ndarray, key_matrix: np.ndarray, embedder: Embedder
     ) -> np.ndarray:
-        """See ``KnowledgeGraph.row_scores``. Each distinct text among the
-        rows is dotted with the keys once; a row's dots are the sum of its
-        three texts'."""
+        """See ``KnowledgeGraph.row_scores``. A row's dot with a key is the
+        sum of its three texts' dots."""
         row_texts = np.stack((graph._head_surface[rows], graph._relation[rows], graph._tail_surface[rows]))
-        texts, where = np.unique(row_texts, return_inverse=True)
-        self._fill(texts, embedder.sparse_counts)
-        dots = self._dots(texts, key_matrix)
-        where = where.reshape(row_texts.shape)
-        best = (dots[where[0]] + dots[where[1]] + dots[where[2]]).max(axis=1)
-        best *= self._inverse_norms(rows, row_texts)
+        best = np.full(len(rows), -np.inf)
+        for vec in key_matrix:
+            dots = self._text_dots(vec)[row_texts]
+            np.maximum(best, dots[0] + dots[1] + dots[2], out=best)
+        scored = np.flatnonzero(best)
+        best[scored] *= self._inverse_norms(row_texts[:, scored])
         return np.clip(best, -1.0, 1.0, out=best)
 
-    def _dots(self, texts: np.ndarray, key_matrix: np.ndarray) -> np.ndarray:
-        """The ``(len(texts), len(key_matrix))`` dot products of the filled
-        texts' counts with the key rows."""
-        starts, stops = self._start[texts], self._stop[texts]
-        at = _ranges(starts, stops)
-        terms = self._values[at, None] * np.ascontiguousarray(key_matrix.T)[self._buckets[at]]
-        out = np.zeros((len(texts), len(key_matrix)))
-        nonempty = stops > starts
-        if at.size:
-            lengths = stops - starts
-            out[nonempty] = np.add.reduceat(terms, (np.cumsum(lengths) - lengths)[nonempty], axis=0)
-        return out
-
-    def _inverse_norms(self, rows: np.ndarray, row_texts: np.ndarray) -> np.ndarray:
+    def _inverse_norms(self, row_texts: np.ndarray) -> np.ndarray:
         """1 / the norm of each row's summed counts, 0 for a row with none;
-        ``row_texts`` are the rows' ``(3, len(rows))`` filled text ids."""
-        inverse = self._row_inverse_norms[rows]
-        todo = np.isnan(inverse)
-        if todo.any():
-            fresh = rows[todo]
-            texts = row_texts[:, todo].ravel()
-            starts, stops = self._start[texts], self._stop[texts]
-            at = _ranges(starts, stops)
-            owner = np.repeat(np.tile(np.arange(len(fresh)), 3), stops - starts)
-            cells, cell_of = np.unique(owner * self._dimension + self._buckets[at], return_inverse=True)
-            sums = np.bincount(cell_of, weights=self._values[at])
-            squares = np.bincount(cells // self._dimension, weights=sums * sums, minlength=len(fresh))
-            # Concurrent questions may both fill a row; they write the same value.
-            inverse[todo] = self._row_inverse_norms[fresh] = _inverse(np.sqrt(squares))
-        return inverse
+        ``row_texts`` are the rows' ``(3, rows)`` text ids."""
+        rows = row_texts.shape[1]
+        texts = row_texts.ravel()
+        starts, stops = self._start[texts], self._start[texts + 1]
+        at = ranges(starts, stops)
+        owner = np.repeat(np.tile(np.arange(rows), 3), stops - starts)
+        cells, cell_of = np.unique(owner * self._dimension + self._buckets[at], return_inverse=True)
+        sums = np.bincount(cell_of, weights=self._values[at])
+        squares = np.bincount(cells // self._dimension, weights=sums * sums, minlength=rows)
+        return _inverse(np.sqrt(squares))
 
 
 class DenseIndex:
@@ -497,10 +434,10 @@ class DenseIndex:
     Like ``CountTable``, the index holds no reference to the embedder.
     """
 
-    def __init__(self, graph: KnowledgeGraph, dimension: int):
+    def __init__(self, graph: KnowledgeGraph, embedder: Embedder):
         self._texts = graph._texts
         self._entities = graph.entity_count
-        self._dimension = dimension
+        self._dimension = embedder.dimension
         self._entity_matrix: Optional[np.ndarray] = None
         self._lock = threading.Lock()
 

@@ -191,6 +191,31 @@ def test_bucket_memo_bounded_and_exact_across_a_clear(monkeypatch):
     assert len(memo) == 6
 
 
+# Texts equal once lowercased: a capital and a final sigma, a dotted
+# capital I and its lowercase (i and a combining dot), with an empty text
+# and one with no token among them.
+_CASED = ["\u039f\u0394\u039f\u03a3", "\u03bf\u03b4\u03bf\u03c2", "\u03a3", "\u03c3",
+          "\u0130zmir", "i\u0307zmir", "", "!!", "Ash ELM", "ash elm", "", "!!"]
+
+
+@pytest.mark.parametrize("dimension", [1, 8, 256, 300])
+def test_texts_equal_once_lowercased_count_as_alone(dimension):
+    # One call tokenizes each distinct lowercased text once; every text
+    # still gets the counts, and the dtypes, of a call of its own.
+    assert "\u039f\u0394\u039f\u03a3".lower() == "\u03bf\u03b4\u03bf\u03c2"
+    assert "\u0130zmir".lower() == "i\u0307zmir"
+    embedder = HashedEmbedder(dimension)
+    owner, bucket, count = embedder.sparse_counts(_CASED)
+    assert owner.tolist() == sorted(owner.tolist())
+    for i, text in enumerate(_CASED):
+        alone = embedder.sparse_counts([text])
+        assert [a.dtype for a in alone] == [owner.dtype, bucket.dtype, count.dtype]
+        assert alone[0].tobytes() == np.zeros_like(alone[0]).tobytes()
+        assert bucket[owner == i].tobytes() == alone[1].tobytes()
+        assert count[owner == i].tobytes() == alone[2].tobytes()
+        assert bucket[owner == i].tolist() == np.flatnonzero(reference_counts(text, dimension)).tolist()
+
+
 def test_caching_embedder_forwards_counts_uncached():
     texts = ["alpha alpha beta", "", "beta"]
     cached = CachingEmbedder(HashedEmbedder(8))

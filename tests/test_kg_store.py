@@ -8,6 +8,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, ScaledEmbedder, expand, make_embedder, reference_counts
-from kgqa.embedding import CachingEmbedder, HashedEmbedder, cosine_sim, embed_matrix
+from kgqa import embedding
+from kgqa.embedding import RESCORE_TOLERANCE, CachingEmbedder, HashedEmbedder, cosine_sim, embed_matrix
 from kgqa.kg_store import (
     CountTable,
+    DenseIndex,
     EntityId,
     GraphParseError,
     KnowledgeGraph,
@@ -26,6 +29,7 @@ from kgqa.kg_store import (
     load_graph,
     load_graph_file,
     normalize,
+    serialize_triple,
 )
 
 
@@ -465,11 +469,12 @@ class CountingEmbedder(DenseCountingEmbedder):
 
 
 def test_entity_index_per_embedder(fixture_graph):
-    # With ``sparse_counts`` the index is a count table holding each entity once.
+    # With ``sparse_counts`` the index is a count table holding each of the
+    # graph's texts once, counted in one call.
     first, second = CountingEmbedder(), CountingEmbedder()
     for embedder in (first, second, first):
         assert fixture_graph.resolve_entity("Alex Ferguson OBE", embedder, 0.5).canonical == "alex ferguson"
-    assert (first.counted, second.counted) == (fixture_graph.entity_count,) * 2
+    assert (first.calls, second.calls) == ([len(fixture_graph._texts)],) * 2
     assert (first.bulk_calls, second.bulk_calls) == (0, 0)
     # Without, it is the dense matrix of one bulk embed.
     dense = DenseCountingEmbedder()
@@ -524,18 +529,32 @@ def test_entity_index_freed_with_its_embedder(fixture_graph):
 
 def test_entity_index_built_once_under_concurrent_resolves(fixture_graph):
     for inner in (CountingEmbedder(), DenseCountingEmbedder()):
-        _resolve_concurrently(fixture_graph, inner)
-        # One call counting each entity once, or one bulk embed.
+        _use_concurrently(fixture_graph, inner)
+        # One call counting each of the graph's texts once, or one bulk embed.
         if isinstance(inner, CountingEmbedder):
-            assert (inner.calls, inner.bulk_calls) == ([fixture_graph.entity_count], 0)
+            assert (inner.calls, inner.bulk_calls) == ([len(fixture_graph._texts)], 0)
         else:
             assert inner.bulk_calls == 1
 
 
-def _resolve_concurrently(fixture_graph, inner):
+def _use_concurrently(graph, inner):
+    # Four first uses at once, two resolves and two row scorings.
     embedder = CachingEmbedder(inner)
-    results = _concurrently(lambda: fixture_graph.resolve_entity("Alex Ferguson OBE", embedder, 0.5))
-    assert [e.canonical for e in results] == ["alex ferguson"] * 4
+    rows = graph.neighbors("alex ferguson", 1)
+    keys = embedder.embed("alex ferguson")[None]
+    turns = iter(range(4))
+
+    def use():
+        if next(turns) % 2:
+            return graph.row_scores(rows, embedder, keys)
+        return graph.resolve_entity("Alex Ferguson OBE", embedder, 0.5)
+
+    results = _concurrently(use)
+    resolved = [result.canonical for result in results if isinstance(result, EntityId)]
+    assert resolved == ["alex ferguson"] * 2
+    want = DenseIndex(graph, embedder).row_scores(graph, rows, keys, embedder)
+    for scores in (result for result in results if not isinstance(result, EntityId)):
+        assert np.all(np.abs(scores - want) <= RESCORE_TOLERANCE)
 
 
 def _concurrently(call, threads=4):
@@ -619,8 +638,9 @@ def _random_graph(rng, triples):
 @pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_bulk_filled_table_matches_text_by_text_reference(seed, threads):
-    # One ``sparse_counts`` call per fill stores, and scores with, exactly
-    # the bits that filling each text alone from the md5 reference does.
+    # One ``sparse_counts`` call over the whole pool stores, and scores
+    # with, exactly the bits that counting each text alone from the md5
+    # reference does.
     rng = random.Random(seed)
     dimension = rng.choice([8, 64, 256])
     graph = _random_graph(rng, 300)
@@ -629,9 +649,7 @@ def test_bulk_filled_table_matches_text_by_text_reference(seed, threads):
     mention = HashedEmbedder(dimension).embed("ash oak yew fir")
 
     md5 = ReferenceCounts(dimension)
-    reference = CountTable(graph, dimension)
-    for text in range(len(graph._texts)):
-        reference._fill(np.array([text]), md5.sparse_counts)
+    reference = CountTable(graph, md5)
     want_entities = checked_entity_scores(reference, mention, md5)
     want_rows = reference.row_scores(graph, rows, keys, md5)
 
@@ -645,13 +663,12 @@ def test_bulk_filled_table_matches_text_by_text_reference(seed, threads):
     )
     table = graph._index(embedder)
     assert isinstance(table, CountTable)
-    assert (table._stop >= 0).all()
+    assert len(table._start) == len(graph._texts) + 1
     for text in range(len(graph._texts)):
-        got = slice(table._start[text], table._stop[text])
-        want = slice(reference._start[text], reference._stop[text])
+        got = slice(table._start[text], table._start[text + 1])
+        want = slice(reference._start[text], reference._start[text + 1])
         assert table._buckets[got].tobytes() == reference._buckets[want].tobytes()
         assert table._values[got].tobytes() == reference._values[want].tobytes()
-    assert table._row_inverse_norms.tobytes() == reference._row_inverse_norms.tobytes()
     assert checked_entity_scores(table, mention, embedder).tobytes() == want_entities.tobytes()
     for _, scores in results:
         assert scores.tobytes() == want_rows.tobytes()
@@ -671,12 +688,13 @@ def checked_entity_scores(table, vec, embedder):
     entity, exactly 0 for every entity that shares no bucket with ``vec``."""
     scores = table.entity_scores(vec, embedder)
     buckets = np.flatnonzero(vec)
+    entities = len(table._entity_inverse_norms)
     apart = [
         entity
-        for entity in range(table._entities)
-        if not np.isin(table._buckets[table._start[entity] : table._stop[entity]], buckets).any()
+        for entity in range(entities)
+        if not np.isin(table._buckets[table._start[entity] : table._start[entity + 1]], buckets).any()
     ]
-    assert scores.shape == (table._entities,)
+    assert scores.shape == (entities,)
     assert scores[apart].tobytes() == np.zeros(len(apart)).tobytes()
     return scores
 
@@ -684,13 +702,13 @@ def checked_entity_scores(table, vec, embedder):
 def entity_major_scores(table, vec):
     """The entity-major scan the postings replaced: every entity's whole
     segment, bincounted in entity, then bucket order."""
-    entities = np.arange(table._entities)
-    starts, stops = table._start[entities], table._stop[entities]
+    entities = np.arange(len(table._entity_inverse_norms))
+    starts, stops = table._start[entities], table._start[entities + 1]
     at = np.concatenate([np.arange(start, stop) for start, stop in zip(starts, stops)] + [np.empty(0, int)])
     owner, buckets, values = np.repeat(entities, stops - starts), table._buckets[at], table._values[at]
-    norms = np.sqrt(np.bincount(owner, weights=values * values, minlength=table._entities))
+    norms = np.sqrt(np.bincount(owner, weights=values * values, minlength=len(entities)))
     inverse = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    return np.bincount(owner, weights=values * vec[buckets], minlength=table._entities) * inverse
+    return np.bincount(owner, weights=values * vec[buckets], minlength=len(entities)) * inverse
 
 
 def _mention(rng):
@@ -785,3 +803,76 @@ def test_untouched_entity_outranks_negative_scores(threshold):
     expected = reference_resolve(graph, mention, embedder, threshold)
     assert graph.resolve_entity(mention, embedder, threshold) == expected
     assert expected == (graph.entities[smallest] if threshold < 0 else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    triples=st.integers(1, 40),
+    keys=st.integers(1, 3),
+    dimension=st.sampled_from([4, 8, 64, 256]),
+    kind=st.sampled_from(["hashed", "signed", "reference"]),
+)
+@example(seed=0, triples=10, keys=1, dimension=256, kind="hashed")
+def test_row_scores_zero_where_key_dots_are_zero(seed, triples, keys, dimension, kind):
+    # A row none of whose texts shares a bucket with a key dots 0 with every
+    # key and scores exactly 0.0, its norm never taken; any other row scores
+    # within the tolerance of the cosine of its serialised triple.
+    rng = random.Random(seed)
+    graph = _random_graph(rng, triples)
+    embedder = {"hashed": HashedEmbedder, "signed": SignedCounts, "reference": ReferenceCounts}[kind](dimension)
+    key_matrix = embed_matrix(embedder, [_mention(rng) for _ in range(keys)])
+    rows = np.arange(graph.triple_count)
+    scores = graph.row_scores(rows, embedder, key_matrix)
+    key_buckets = np.flatnonzero(key_matrix.any(axis=0))
+    for row, score in zip(rows.tolist(), scores.tolist()):
+        triple = graph.triple(row)
+        texts = [triple.head.surface, triple.relation, triple.tail.surface]
+        _, buckets, _ = embedder.sparse_counts(texts)
+        cosine = max(cosine_sim(embedder.embed(serialize_triple(triple)), key) for key in key_matrix)
+        if not np.isin(buckets, key_buckets).any():
+            assert np.float64(score).tobytes() == np.float64(0.0).tobytes()
+            assert cosine == 0.0
+        else:
+            assert abs(score - cosine) <= RESCORE_TOLERANCE
+
+
+def _generated_lines(things, seed=0):
+    """Graph lines in the benchmarks' shape: title-case things of three
+    syllable tokens linked to each other, each with two one-token values."""
+    rng = random.Random(seed)
+    syllables = [c + v for c in "bdfgklmnprstvz" for v in "aeiou"]
+
+    def name(tokens):
+        return " ".join("".join(rng.choice(syllables) for _ in range(3)).title() for _ in range(tokens))
+
+    names = [name(3) for _ in range(things)]
+    values = [name(1) for _ in range(things // 3)]
+    links = ["allied with", "trades with", "borders on", "rivals", "supplies"]
+    attributes = ["birth place", "home port", "founding year", "chief export"]
+    for thing in names:
+        for _ in range(2):
+            yield f"{thing}\t{rng.choice(links)}\t{rng.choice(names)}"
+            yield f"{thing}\t{rng.choice(attributes)}\t{rng.choice(values)}"
+
+
+def test_count_table_build_peak_within_twice_its_arrays(monkeypatch):
+    # Building the table frees its temporaries as it goes: its traced peak
+    # stays within twice the bytes of the arrays it keeps. A dimension no
+    # other test uses gets a bucket memo of its own, warmed by a first
+    # build, so the memo's growth is not counted.
+    dimension = 253
+    monkeypatch.delitem(embedding._memos, dimension, raising=False)
+    graph = load_graph(_generated_lines(5_000))
+    assert 19_000 <= graph.triple_count <= 20_000
+    CountTable(graph, HashedEmbedder(dimension))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = CountTable(graph, HashedEmbedder(dimension))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(array.nbytes for array in vars(table).values() if isinstance(array, np.ndarray))
+    assert len(table._start) == len(graph._texts) + 1
+    assert peak <= 2 * kept

@@ -525,17 +525,18 @@ def test_additive_scores_match_blocked_scores(triples, keys, caching, dimension,
     _, matrix = embed_keys(keys, embedder)
     assume(len(matrix))
     rows = np.arange(graph.triple_count)
-    # Score a prefix first, so the rest read a table that is partly filled.
+    # Score a prefix first, then every row.
     prefix = rows[: first % graph.triple_count]
-    blocked = DenseIndex(graph, dimension).row_scores(graph, rows, matrix, embedder)
+    blocked = DenseIndex(graph, embedder).row_scores(graph, rows, matrix, embedder)
     for part in (prefix, rows):
         additive = graph.row_scores(part, embedder, matrix)
         assert np.all(np.abs(additive - blocked[part]) <= RESCORE_TOLERANCE)
 
 
 def test_count_table_filled_concurrently_scores_as_filled_alone():
-    # Threads fill one table's texts and row norms at once; every score must
-    # equal the one a table filled by a single thread gives, bit for bit.
+    # Threads make the first uses of one embedder at once, so one builds the
+    # table the others wait for; every score must equal the one a table
+    # used by a single thread gives, bit for bit.
     words = ["ash", "birch", "cedar", "elm", "fir", "oak", "yew", "pine"]
     rng = random.Random(5)
     graph = KnowledgeGraph(
