@@ -5,13 +5,14 @@ Local keys come from angle-bracket forms in the LLM reply
 (``<entity>``, ``<entity-relation>``, ``<entity-relation-entity>``).
 Global keys are (subject, relation, object) tuples grouped into subgraphs
 by shared mentions; singleton groups demote to plain triple keys.
+Every dedupe here keeps the first item of each identity (``first_seen``).
 """
 from __future__ import annotations
 
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Optional, TypeVar, Union
+from typing import Callable, Hashable, Iterable, Optional, TypeVar, Union
 
 from .config import PipelineConfig
 from .kg_store import normalize
@@ -86,44 +87,40 @@ class KeySet:
 
     def mentions(self) -> list[str]:
         """Distinct entity mentions across all keys, in first-seen order."""
-        seen: set[str] = set()
-        out: list[str] = []
-        for key in self.all_keys():
-            for mention in entity_mentions(key):
-                canonical = normalize(mention)
-                if canonical and canonical not in seen:
-                    seen.add(canonical)
-                    out.append(mention)
-        return out
+        mentions = (mention for key in self.all_keys() for mention in entity_mentions(key))
+        return [mention for mention in first_seen(mentions, normalize) if normalize(mention)]
 
     def scoring_pairs(self) -> list[tuple[Key, str]]:
-        """(key, text) pairs to score triples against.
+        """(key, text) pairs to score triples against, one per distinct text.
 
         Subgraphs contribute their whole serialization plus each constituent
-        triple, since similarity is defined triple-vs-key.
+        triple, since similarity is defined triple-vs-key. A text's first
+        pair is kept: a later pair of the same text scores the same, and the
+        first key wins a tie, so it could never be a triple's best key.
         """
-        pairs: list[tuple[Key, str]] = []
-        for key in self.local_keys:
-            pairs.append((key, serialize_key(key)))
+        pairs: list[tuple[Key, str]] = [(key, serialize_key(key)) for key in self.local_keys]
         for subgraph in self.global_keys:
             pairs.append((subgraph, serialize_key(subgraph)))
-            for constituent in subgraph.triples:
-                pairs.append((subgraph, serialize_key(constituent)))
-        return pairs
+            pairs.extend((subgraph, serialize_key(constituent)) for constituent in subgraph.triples)
+        return first_seen(pairs, lambda pair: pair[1])
+
+
+_T = TypeVar("_T")
+
+
+def first_seen(items: Iterable[_T], identity: Callable[[_T], Hashable]) -> list[_T]:
+    """The first item of each identity, in order."""
+    firsts: dict[Hashable, _T] = {}
+    for item in items:
+        firsts.setdefault(identity(item), item)
+    return list(firsts.values())
 
 
 _K = TypeVar("_K", bound=Key)
 
 
 def _dedupe(keys: list[_K]) -> list[_K]:
-    seen: set[tuple[str, str]] = set()
-    out: list[_K] = []
-    for key in keys:
-        ident = (type(key).__name__, normalize(serialize_key(key)))
-        if ident not in seen:
-            seen.add(ident)
-            out.append(key)
-    return out
+    return first_seen(keys, lambda key: (type(key).__name__, normalize(serialize_key(key))))
 
 
 def build_key_set(keys: list[Key]) -> KeySet:

@@ -4,8 +4,9 @@ A triple survives when its best cosine similarity against any key text
 strictly exceeds epsilon. The kept set is canonically sorted so results do
 not depend on candidate iteration order.
 
-This module holds retrieval policy only: embedding a question's keys once,
-the hub cap and the epsilon filter. Candidates travel as graph row ids and
+This module holds retrieval policy only: embedding a question's distinct
+key texts once, expanding each resolved entity once, the hub cap and the
+epsilon filter. Candidates travel as graph row ids and
 are scored against all keys at once by ``KnowledgeGraph.row_scores``, which
 leaves the scoring to the graph's index for the embedder (see ``kg_store``).
 ``gather_candidates`` scores each distinct row of a question's expansions in
@@ -22,7 +23,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .config import PipelineConfig
-from .embedding import RESCORE_TOLERANCE, Embedder, check_unit_rows, cosine_sim
+from .embedding import RESCORE_TOLERANCE, Embedder, check_unit_rows, cosine_sim, embed_matrix
 from .extraction import Key, KeySet
 from .kg_store import KnowledgeGraph, Triple, distinct, serialize_triple
 
@@ -55,10 +56,9 @@ class KeyMatrix(NamedTuple):
 
 
 def embed_keys(keys: KeySet, embedder: Embedder) -> KeyMatrix:
-    """Embed a question's scoring keys once, for both retrieval stages."""
+    """Embed a question's distinct key texts once, for both retrieval stages."""
     pairs = keys.scoring_pairs()
-    vectors = [embedder.embed(text) for _, text in pairs]
-    key_matrix = np.array(vectors, dtype=np.float64).reshape(len(pairs), embedder.dimension)
+    key_matrix = embed_matrix(embedder, [text for _, text in pairs])
     return KeyMatrix([key for key, _ in pairs], check_unit_rows(key_matrix))
 
 
@@ -120,17 +120,17 @@ def _hub_cap(expansion: np.ndarray, rows: np.ndarray, scores: np.ndarray, cap: i
 def gather_candidates(g: KnowledgeGraph, keys: KeySet, embedder: Embedder, cfg: PipelineConfig) -> CandidateRows:
     """Union of neighborhood expansions over every resolvable key mention.
 
-    Per-entity expansion is truncated at the hub cap, preferring the
-    highest-scoring triples against the key set (see ``_hub_cap``). The keys
-    are embedded once, every distinct row of the expansions is scored once,
-    and the kept rows carry their scores and the keys.
+    Each distinct resolved entity is expanded once, however many mentions
+    resolve to it, and its expansion is truncated at the hub cap, preferring
+    the highest-scoring triples against the key set (see ``_hub_cap``). The
+    keys are embedded once, every distinct row of the expansions is scored
+    once, and the kept rows carry their scores and the keys.
     """
     key_matrix = embed_keys(keys, embedder)
+    entities = dict.fromkeys(g.resolve_entity(m, embedder, cfg.resolve_threshold) for m in keys.mentions())
+    entities.pop(None, None)
     expansions = [np.empty(0, dtype=np.int32)]
-    for mention in keys.mentions():
-        entity = g.resolve_entity(mention, embedder, cfg.resolve_threshold)
-        if entity is not None:
-            expansions.append(np.asarray(g.neighbors(entity, cfg.hops)))
+    expansions.extend(np.asarray(g.neighbors(entity, cfg.hops)) for entity in entities)
     rows = distinct(np.concatenate(expansions))
     scores = key_matrix.row_scores(g, rows, embedder)
     chosen = [e if len(e) <= cfg.hub_cap else _hub_cap(e, rows, scores, cfg.hub_cap) for e in expansions]

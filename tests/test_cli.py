@@ -88,6 +88,22 @@ class TestAsk:
         )
         assert trace_path.read_bytes() == (FIXTURES / "beckham_trace.jsonl").read_bytes()
 
+    def test_evidence_trace_matches_fixture(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("epsilon=0.5\n")
+        trace_path = tmp_path / "trace.jsonl"
+        main(
+            [
+                "ask",
+                "--graph", GRAPH,
+                "--question", BECKHAM_QUESTION,
+                "--script", SCRIPT,
+                "--config", str(conf),
+                "--trace", str(trace_path),
+            ]
+        )
+        assert trace_path.read_bytes() == (FIXTURES / "beckham_evidence_trace.jsonl").read_bytes()
+
     def test_no_backend_available(self, monkeypatch, capsys):
         monkeypatch.delenv("COGGRAG_LLM_URL", raising=False)
         code = main(["ask", "--graph", GRAPH, "--question", "q?"])

@@ -51,6 +51,12 @@ def test_cosine_dimension_mismatch_raises():
         cosine_sim(np.ones(3), np.ones(4))
 
 
+@pytest.mark.parametrize("dimension", [0, -1])
+def test_hashed_embedder_needs_a_positive_dimension(dimension):
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        HashedEmbedder(dimension)
+
+
 def test_hashed_embedder_deterministic():
     e = HashedEmbedder()
     assert np.array_equal(e.embed("alpha beta"), e.embed("alpha beta"))

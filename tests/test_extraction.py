@@ -13,6 +13,7 @@ from kgqa.extraction import (
     entity_mentions,
     extract_global_keys,
     extract_local_keys,
+    first_seen,
     group_subgraphs,
     parse_global_reply,
     parse_local_reply,
@@ -196,3 +197,48 @@ class TestKeySet:
         ks = KeySet(local_keys=[EntityKey("e")], global_keys=[sg])
         texts = [text for _, text in ks.scoring_pairs()]
         assert texts == ["e", "x r y; y r z", "x r y", "y r z"]
+
+    def test_scoring_pairs_keep_the_first_pair_of_each_text(self):
+        # The subgraph restates the local triple key: its constituent's pair
+        # is dropped, and the local key keeps the text.
+        local = TripleKey("manager", "recruited", "David Beckham")
+        sg = SubgraphKey((local, TripleKey("manager", "manage", "Manchester United")))
+        ks = KeySet(local_keys=[EntityKey("David Beckham"), local], global_keys=[sg])
+        assert ks.scoring_pairs() == [
+            (EntityKey("David Beckham"), "David Beckham"),
+            (local, "manager recruited David Beckham"),
+            (sg, "manager recruited David Beckham; manager manage Manchester United"),
+            (sg, "manager manage Manchester United"),
+        ]
+
+    def test_scoring_pairs_dedupe_exact_text_only(self):
+        # Texts that differ only in case may embed differently under another
+        # embedder, so both are scored.
+        ks = KeySet(local_keys=[EntityKey("Paris"), PairKey("paris", "capital")])
+        sg = SubgraphKey((TripleKey("paris", "capital", "x"), TripleKey("x", "r", "y")))
+        ks.global_keys.append(sg)
+        ks.global_keys.append(SubgraphKey((TripleKey("x", "r", "y"), TripleKey("PARIS", "capital", "x"))))
+        texts = [text for _, text in ks.scoring_pairs()]
+        assert texts == [
+            "Paris",
+            "paris capital",
+            "paris capital x; x r y",
+            "paris capital x",
+            "x r y",
+            "x r y; PARIS capital x",
+            "PARIS capital x",
+        ]
+
+    def test_mentions_drop_blanks_and_repeats(self):
+        ks = KeySet(local_keys=[EntityKey(" "), EntityKey("David  Beckham"), TripleKey("david beckham", "r", "!")])
+        assert ks.mentions() == ["David  Beckham", "!"]
+
+
+class TestFirstSeen:
+    def test_keeps_the_first_item_of_each_identity_in_order(self):
+        assert first_seen(["b", "A", "a", "B", "c"], str.lower) == ["b", "A", "c"]
+
+    def test_dedupe_keeps_the_first_key_of_each_type_and_normalised_text(self):
+        keys = [EntityKey("Paris"), PairKey("a", "b"), EntityKey(" paris "), EntityKey("a b"), PairKey("A", "B")]
+        ks = build_key_set(keys)
+        assert ks.local_keys == [EntityKey("Paris"), PairKey("a", "b"), EntityKey("a b")]

@@ -177,6 +177,7 @@ def test_load_script_accepts_byte_order_mark(tmp_path):
         '{"match": "a"}',
         '{"reply": "x"}',
         '{"match": 5, "reply": "x"}',
+        '{"regex": 5, "reply": "x"}',
     ],
 )
 def test_parse_script_rejects_malformed(line):

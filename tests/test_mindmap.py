@@ -116,6 +116,14 @@ class TestParseReply:
     def test_garbage_inside_brackets(self):
         assert parse_decomposition_reply("[not, valid, json}") is None
 
+    @pytest.mark.parametrize("reply", ['[{"State": "End."}]', '[{"Sub-question": 7}]'])
+    def test_record_without_a_string_question(self, reply):
+        assert parse_decomposition_reply(reply) is None
+
+    @pytest.mark.parametrize("reply", ['["a?", 3]', '[["a?"]]', "[null]"])
+    def test_item_neither_string_nor_record(self, reply):
+        assert parse_decomposition_reply(reply) is None
+
 
 class TestBuildMindMap:
     def test_beckham_two_leaves(self, golden_backend):

@@ -143,6 +143,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config_lines(["verification_enabled = perhaps"])
 
+    @pytest.mark.parametrize("name, value", [("hops", "abc"), ("epsilon", "high")])
+    def test_parse_bad_number_names_the_field(self, name, value):
+        with pytest.raises(ValueError, match=f"config key '{name}': .*'{value}'"):
+            parse_config_lines([f"{name} = {value}"])
+
+    def test_parse_line_without_equals_rejected(self):
+        with pytest.raises(ValueError, match="run.conf: line 2: expected key=value"):
+            parse_config_lines(["hops=2", "epsilon 0.5"], source="run.conf")
+
     def test_env_overrides_file(self, tmp_path, monkeypatch):
         path = tmp_path / "run.conf"
         path.write_text("epsilon = 0.5\nhops = 2\n")
@@ -190,6 +199,21 @@ class TestRunPipeline:
         monkeypatch.setattr(KnowledgeGraph, "row_scores", spy)
         run_pipeline(BECKHAM_QUESTION, fixture_graph, PipelineConfig(hops=2, hub_cap=hub_cap), golden_backends)
         assert len(calls) == 1
+
+    def test_golden_question_scores_each_key_text_once(self, fixture_graph, golden_backends, monkeypatch):
+        # The global subgraph restates the local key "manager recruited David
+        # Beckham": six scoring pairs, five distinct texts, five key rows.
+        key_rows = []
+        row_scores = KnowledgeGraph.row_scores
+
+        def spy(self, rows, embedder, key_matrix):
+            key_rows.append(len(key_matrix))
+            return row_scores(self, rows, embedder, key_matrix)
+
+        monkeypatch.setattr(KnowledgeGraph, "row_scores", spy)
+        result = run_pipeline(BECKHAM_QUESTION, fixture_graph, PipelineConfig(), golden_backends)
+        assert key_rows == [5]
+        assert len({text for _, text in result.keys.scoring_pairs()}) == 5
 
     def test_decomposition_disabled_single_node(self, fixture_graph, golden_backends):
         cfg = PipelineConfig(decomposition_enabled=False)
@@ -293,6 +317,23 @@ class TestWriteTrace:
         assert '"answer": "1986–2013"' in first
         assert first == render() == render()
 
+    def test_evidence_trace_matches_fixture(self, fixture_graph):
+        # At epsilon 0.5 the golden run keeps both candidates as evidence, tied
+        # in score, so they are listed in (head, relation, tail) order.
+        cfg = PipelineConfig(epsilon=0.5)
+        result = run_pipeline(BECKHAM_QUESTION, fixture_graph, cfg, Backends.single(ScriptedBackend(golden_rules())))
+        buffer = io.StringIO()
+        write_trace(buffer, result, cfg, fixture_graph)
+        records = [json.loads(line) for line in buffer.getvalue().splitlines()]
+        evidence = [
+            (r["head"], r["relation"], r["tail"], r["score"], r["best_key"]) for r in records if r["type"] == "evidence"
+        ]
+        assert evidence == [
+            ("Alex Ferguson", "manages", "Manchester United", 0.632455532, "Manchester United"),
+            ("David Beckham", "recruited_by", "Alex Ferguson", 0.632455532, "David Beckham"),
+        ]
+        assert result.final_answer == "1986–2013"
+        assert buffer.getvalue().encode() == (FIXTURES / "beckham_evidence_trace.jsonl").read_bytes()
 
     def test_warnings_in_stage_order_from_one_list(self, fixture_graph):
         answers = {SUB_Q1: "Alex Ferguson", SUB_Q2: "1986–2013", BECKHAM_QUESTION: "1986–2013"}

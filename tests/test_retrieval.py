@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import ScaledEmbedder, expand, make_embedder
 from kgqa.config import PipelineConfig
 from kgqa.embedding import RESCORE_TOLERANCE, CachingEmbedder, HashedEmbedder, cosine_sim
-from kgqa.extraction import EntityKey, KeySet, PairKey, SubgraphKey, TripleKey, build_key_set
+from kgqa.extraction import EntityKey, KeySet, PairKey, SubgraphKey, TripleKey, build_key_set, serialize_key
 from kgqa.kg_store import DenseIndex, KnowledgeGraph, Triple, normalize
 from kgqa.retrieval import CandidateRows, embed_keys, filter_by_similarity, gather_candidates, serialize_triple
 
@@ -30,8 +30,6 @@ def filter_triples(triples, keys: KeySet, embedder, cfg: PipelineConfig):
 
 def brute_force_kept(candidates, keys: KeySet, embedder, epsilon):
     """Independent all-pairs oracle using pure-python cosine."""
-    from kgqa.extraction import serialize_key
-
     texts = []
     for key in keys.local_keys:
         texts.append(serialize_key(key))
@@ -166,6 +164,24 @@ class TestGatherCandidates:
         keys = build_key_set([EntityKey("David Beckham"), EntityKey("david  beckham ")])
         candidates = gather_candidates(fixture_graph, keys, HashedEmbedder(), PipelineConfig())
         assert len(candidates) == 1
+
+    def test_mentions_of_one_entity_expand_it_once(self, fixture_graph, monkeypatch):
+        expanded = []
+        neighbors = KnowledgeGraph.neighbors
+
+        def spy(self, entity, hops=1):
+            expanded.append(entity.canonical)
+            return neighbors(self, entity, hops)
+
+        monkeypatch.setattr(KnowledgeGraph, "neighbors", spy)
+        embedder = HashedEmbedder()
+        alone = gather_candidates(fixture_graph, build_key_set([EntityKey("David Beckham")]), embedder, PipelineConfig())
+        expanded.clear()
+        keys = build_key_set([EntityKey("David Beckham"), EntityKey("the David Beckham")])
+        assert keys.mentions() == ["David Beckham", "the David Beckham"]
+        candidates = gather_candidates(fixture_graph, keys, embedder, PipelineConfig())
+        assert expanded == ["david beckham"]
+        assert candidates.rows.tolist() == alone.rows.tolist()
 
     def test_unresolvable_mention_contributes_nothing(self, fixture_graph):
         keys = build_key_set([EntityKey("completely unknown thing")])
@@ -313,6 +329,77 @@ def test_filter_matches_reference_scan(triples, keys, kind, dimension, epsilon):
     expected = reference_filter(candidates, keys, embedder, epsilon)
     assert [(s.triple, s.best_key, s.score) for s in result.kept] == expected
     assert all(s.best_key is key for s, (_, key, _) in zip(result.kept, expected))
+
+
+def undeduplicated_pairs(keys: KeySet):
+    """Every scoring pair, repeated texts included: the reference that
+    ``KeySet.scoring_pairs``, one pair per text, must filter as."""
+    pairs = [(key, serialize_key(key)) for key in keys.local_keys]
+    for subgraph in keys.global_keys:
+        pairs.append((subgraph, serialize_key(subgraph)))
+        pairs.extend((subgraph, serialize_key(t)) for t in subgraph.triples)
+    return pairs
+
+
+@st.composite
+def _repeating_keys(draw):
+    """Key sets whose subgraph constituents restate local triple keys or each other."""
+    pool = draw(st.lists(_triple_key, min_size=1, max_size=4))
+    local = draw(st.lists(st.one_of(st.sampled_from(pool), _text.map(EntityKey)), max_size=4))
+    subgraphs = draw(
+        st.lists(st.lists(st.sampled_from(pool), min_size=2, max_size=3).map(lambda ts: SubgraphKey(tuple(ts))), max_size=3)
+    )
+    return build_key_set([*local, *subgraphs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    triples=st.lists(st.tuples(_text, _text, _text), max_size=30),
+    keys=_repeating_keys(),
+    # A hashed graph scores with a count table, a signed one with a dense index.
+    kind=st.sampled_from(["hashed", "signed"]),
+    dimension=_dimensions,
+    # A float is epsilon; an int picks an attained score as epsilon.
+    epsilon=st.one_of(st.floats(0.0, 1.0), st.integers(0, 30)),
+)
+@example(
+    triples=[
+        ("David Beckham", "recruited_by", "Alex Ferguson"),
+        ("Alex Ferguson", "manages", "Manchester United"),
+        ("Alex Ferguson", "tenure", "1986–2013"),
+    ],
+    keys=build_key_set(
+        [
+            EntityKey("David Beckham"),
+            TripleKey("manager", "recruited", "David Beckham"),
+            EntityKey("Manchester United"),
+            SubgraphKey(
+                (TripleKey("manager", "recruited", "David Beckham"), TripleKey("manager", "manage", "Manchester United"))
+            ),
+        ]
+    ),
+    kind="hashed",
+    dimension=256,
+    epsilon=0.5,
+)
+def test_deduplicated_pairs_filter_as_all_pairs(triples, keys, kind, dimension, epsilon):
+    embedder = make_embedder(kind, dimension)
+    candidates = {Triple.from_surface(*t) for t in triples}
+    every_pair = KeySet(keys.local_keys, keys.global_keys)
+    every_pair.scoring_pairs = lambda: undeduplicated_pairs(keys)  # type: ignore[method-assign]
+    if isinstance(epsilon, int):
+        attained = sorted(
+            {s for t in candidates if 0.0 <= (s := reference_best_key(t, embedder, every_pair)[1]) <= 1.0}
+        )
+        epsilon = attained[epsilon % len(attained)] if attained else 0.5
+    texts = [text for _, text in keys.scoring_pairs()]
+    assert texts == list(dict.fromkeys(text for _, text in undeduplicated_pairs(keys)))
+    result = filter_triples(candidates, keys, embedder, eps(epsilon))
+    expected = filter_triples(candidates, every_pair, embedder, eps(epsilon))
+    assert [(s.triple, s.best_key, s.score) for s in result.kept] == [
+        (s.triple, s.best_key, s.score) for s in expected.kept
+    ]
+    assert all(s.best_key is e.best_key for s, e in zip(result.kept, expected.kept))
 
 
 def hub_graph(tails):
@@ -487,7 +574,8 @@ class CountingEmbedder:
 def test_hub_cap_rows_served_from_cache():
     # Without ``sparse_counts`` the hub's rows are embedded, then served from the
     # cache; with it they are scored from the count table, never embedded,
-    # and no text is counted twice.
+    # and no text is counted twice. Key texts are stacked past the cache, so
+    # each gather embeds them again, and nothing else.
     graph = hub_graph([f"spoke {i}" for i in range(50)])
     keys = build_key_set([EntityKey("hub"), TripleKey("hub", "links", "spoke 7")])
     cfg = PipelineConfig(hub_cap=10)
@@ -503,7 +591,7 @@ def test_hub_cap_rows_served_from_cache():
             assert calls >= 50
         second = gather_candidates(graph, keys, embedder, cfg)
         assert second.rows.tolist() == first.rows.tolist()
-        assert (inner.calls, inner.counted) == (calls, counted)
+        assert (inner.calls, inner.counted) == (calls + len(keys.scoring_pairs()), counted)
 
 
 # Case, Greek final sigma and a dotted capital I: lowercasing a surface on
