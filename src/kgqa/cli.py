@@ -9,7 +9,7 @@ from typing import Optional
 
 from .config import PipelineConfig, load_config
 from .evaluation import load_dataset, run_benchmark
-from .kg_store import GraphParseError, load_graph_file
+from .kg_store import load_graph_file
 from .llm import BackendError, HTTPBackend, load_script
 from .pipeline import Backends, PipelineStageError, run_pipeline, write_trace
 
@@ -53,7 +53,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     backends = _build_backends(args.script, cfg)
     with open(args.dataset, "r", encoding="utf-8-sig") as f:
-        dataset = load_dataset(f.readlines())
+        dataset = load_dataset(f.readlines(), source=args.dataset)
     if not dataset:
         raise ValueError(f"{args.dataset}: dataset has no examples")
     graph = load_graph_file(args.graph)
@@ -128,7 +128,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphParseError, BackendError, PipelineStageError, ValueError, OSError) as exc:
+    except (BackendError, PipelineStageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -175,13 +175,20 @@ class HashedEmbedder:
         return vec
 
 
+# Bytes of float64 vectors a ``CachingEmbedder`` holds before it is emptied:
+# 32,768 vectors at 256 dimensions.
+CACHE_BYTES = 64 << 20
+
+
 class CachingEmbedder:
-    """Wraps an embedder with an exact-text cache, safe for concurrent use."""
+    """Wraps an embedder with an exact-text cache, safe for concurrent use;
+    emptied when an insert would pass ``CACHE_BYTES``, so it never holds more."""
 
     def __init__(self, inner: Embedder):
         self._inner = inner
         self.dimension = inner.dimension
         self._cache: dict[str, np.ndarray] = {}
+        self._capacity = max(1, CACHE_BYTES // (8 * inner.dimension))
         self._lock = threading.Lock()
         # Counts feed tables the graph keeps per embedder, so they pass uncached.
         sparse_counts = getattr(inner, "sparse_counts", None)
@@ -195,6 +202,8 @@ class CachingEmbedder:
             return cached
         vec = self._inner.embed(text)
         with self._lock:
+            if len(self._cache) >= self._capacity:
+                self._cache.clear()
             self._cache.setdefault(text, vec)
         return vec
 

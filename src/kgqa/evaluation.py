@@ -150,8 +150,9 @@ class MetricReport:
     per_example: list[ExampleResult] = field(default_factory=list)
 
 
-def load_dataset(lines: "Sequence[str]") -> list[QAExample]:
-    """Parse line-delimited {"id", "question", "answers": [...]} records."""
+def load_dataset(lines: "Sequence[str]", source: str = "<dataset>") -> list[QAExample]:
+    """Parse line-delimited {"id", "question", "answers": [...]} records;
+    an error names ``source`` and the line."""
     import json
 
     examples: list[QAExample] = []
@@ -172,7 +173,8 @@ def load_dataset(lines: "Sequence[str]") -> list[QAExample]:
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"dataset line {line_number}: {exc}") from exc
+            reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{source}: line {line_number}: {reason}") from exc
     return examples
 
 

@@ -48,8 +48,8 @@ def normalize(text: str) -> str:
 class GraphParseError(ValueError):
     """A malformed line in a graph file. Carries the 1-based line number."""
 
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, line_number: int, message: str, source: str = "<graph>"):
+        super().__init__(f"{source}: line {line_number}: {message}")
         self.line_number = line_number
 
 
@@ -466,12 +466,12 @@ class DenseIndex:
         return scores
 
 
-def load_graph(lines: Iterable[str]) -> KnowledgeGraph:
+def load_graph(lines: Iterable[str], source: str = "<graph>") -> KnowledgeGraph:
     """Parse a line-oriented TSV stream into a KnowledgeGraph, in one pass.
 
     Duplicate lines deduplicate, the first line's surfaces kept; an empty
-    stream yields an empty graph. Raises GraphParseError on a line with the
-    wrong field count or an empty field.
+    stream yields an empty graph. Raises GraphParseError, naming ``source``,
+    on a line with the wrong field count or an empty field.
     """
     surfaces: dict[str, int] = {}
     relations: dict[str, int] = {}
@@ -503,8 +503,8 @@ def load_graph(lines: Iterable[str]) -> KnowledgeGraph:
         if not line or line[0] == "#":
             continue
         if len(fields) != 3:
-            raise GraphParseError(line_number, f"expected 3 tab-separated fields, got {len(fields)}")
-        raise GraphParseError(line_number, "empty field in triple")
+            raise GraphParseError(line_number, f"expected 3 tab-separated fields, got {len(fields)}", source)
+        raise GraphParseError(line_number, "empty field in triple", source)
     # Normalised once per distinct text.
     graph = KnowledgeGraph.__new__(KnowledgeGraph)
     graph._build(list(map(normalize, surfaces)), surfaces, list(map(normalize, relations)), *columns)
@@ -514,4 +514,4 @@ def load_graph(lines: Iterable[str]) -> KnowledgeGraph:
 def load_graph_file(path: str) -> KnowledgeGraph:
     """``load_graph`` over a UTF-8 file; a leading byte-order mark is dropped."""
     with open(path, "r", encoding="utf-8-sig") as f:
-        return load_graph(f)
+        return load_graph(f, source=path)

@@ -1,6 +1,7 @@
 """Tree-structured mind map built by recursive top-down question decomposition.
 
-Each node carries (question, depth, state). Decomposition recurses until
+Each node carries (question, depth, children); its state is Continue while
+it has children and End once it has none. Decomposition recurses until
 every leaf is an End node or the depth cap is hit; with decomposition
 switched off the map is the question alone. A completed map is immutable
 in practice and traversed bottom-up for reasoning.
@@ -35,9 +36,12 @@ class MindMapNode:
     id: str
     question: str
     depth: int
-    state: NodeState
     parent: Optional[str] = None
     children: list[str] = field(default_factory=list)
+
+    @property
+    def state(self) -> NodeState:
+        return NodeState.CONTINUE if self.children else NodeState.END
 
 
 @dataclass
@@ -165,7 +169,7 @@ def build_mind_map(
     """
     if not question.strip():
         raise ValueError("question must be non-empty")
-    root = MindMapNode(id="0", question=question.strip(), depth=0, state=NodeState.END)
+    root = MindMapNode(id="0", question=question.strip(), depth=0)
     nodes = {root.id: root}
 
     def decompose(node: MindMapNode, job_warnings: list[str]) -> list[tuple[str, NodeState]]:
@@ -178,13 +182,11 @@ def build_mind_map(
         for node, subs in zip(level, replies):
             if len(subs) == 1 and normalize(subs[0][0]) == normalize(node.question):
                 continue
-            node.state = NodeState.CONTINUE
             for index, (sub_question, sub_state) in enumerate(subs):
                 child = MindMapNode(
                     id=f"{node.id}.{index}",
                     question=sub_question,
                     depth=node.depth + 1,
-                    state=NodeState.END,
                     parent=node.id,
                 )
                 nodes[child.id] = child

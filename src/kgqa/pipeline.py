@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Optional, TextIO
+from typing import TextIO
 
 from .config import PipelineConfig
 from .embedding import Embedder, HashedEmbedder
@@ -22,7 +22,7 @@ from .extraction import (
 from .kg_store import KnowledgeGraph
 from .llm import LLMBackend, fan_out
 from .mindmap import MindMap, build_mind_map
-from .reasoning import ReasoningAborted, ReasoningTrace, solve
+from .reasoning import PipelineStageError, ReasoningTrace, solve
 from .retrieval import RetrievedTripleSet, filter_by_similarity, gather_candidates
 
 
@@ -36,23 +36,6 @@ class Backends:
     def single(cls, backend: LLMBackend, dimension: int = 256) -> "Backends":
         """One backend for answering and verifying, with a hashed embedder."""
         return cls(res=backend, ver=backend, embedder=HashedEmbedder(dimension))
-
-
-class PipelineStageError(RuntimeError):
-    """A pipeline stage failed; carries the stage label, any partial trace
-    and the question's warnings collected until the failure."""
-
-    def __init__(
-        self,
-        stage: str,
-        cause: Exception,
-        warnings: list[str],
-        partial_trace: Optional[ReasoningTrace] = None,
-    ):
-        super().__init__(f"stage '{stage}' failed: {cause}")
-        self.stage = stage
-        self.warnings = warnings
-        self.partial_trace = partial_trace
 
 
 @dataclass
@@ -76,13 +59,13 @@ def run_pipeline(
     backends: Backends,
 ) -> PipelineResult:
     warnings: list[str] = []
-
+    # ``solve`` raises its own stage error, with the partial trace, so only
+    # the stages before it are wrapped here, each under its label.
+    stage = "decomposition"
     try:
         mind_map = build_mind_map(question, backends.res, cfg, warnings)
-    except Exception as exc:
-        raise PipelineStageError("decomposition", exc, warnings) from exc
 
-    try:
+        stage = "extraction"
         # Both extractions read only the finished mind map, so they are sent
         # together; local keys still come first, as do their warnings.
         extractors = [extract_local_keys]
@@ -95,21 +78,14 @@ def run_pipeline(
             warnings,
         )
         key_set = build_key_set([key for part in keys for key in part])
-    except Exception as exc:
-        raise PipelineStageError("extraction", exc, warnings) from exc
 
-    try:
+        stage = "retrieval"
         candidates = gather_candidates(graph, key_set, backends.embedder, cfg)
         evidence = filter_by_similarity(candidates, backends.embedder, cfg)
     except Exception as exc:
-        raise PipelineStageError("retrieval", exc, warnings) from exc
+        raise PipelineStageError(stage, exc, warnings) from exc
 
-    try:
-        trace = solve(mind_map, evidence, backends.res, backends.ver, cfg, warnings)
-    except ReasoningAborted as exc:
-        raise PipelineStageError("reasoning", exc, warnings, exc.partial_trace) from exc
-    except Exception as exc:
-        raise PipelineStageError("reasoning", exc, warnings) from exc
+    trace = solve(mind_map, evidence, backends.res, backends.ver, cfg, warnings)
 
     return PipelineResult(
         question=question,

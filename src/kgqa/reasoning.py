@@ -16,7 +16,6 @@ from .llm import (
     RES_TEMPLATE,
     RETHINK_TEMPLATE,
     VER_TEMPLATE,
-    BackendError,
     LLMBackend,
     ask,
     extract_bracketed,
@@ -56,11 +55,17 @@ class ReasoningTrace:
     rethink_calls: int = 0
 
 
-class ReasoningAborted(RuntimeError):
-    """A backend error aborted the run; the partial trace is attached."""
+class PipelineStageError(RuntimeError):
+    """A pipeline stage failed; carries the stage label, the question's
+    warnings collected until the failure and, from reasoning, the trace of
+    the nodes finished before it."""
 
-    def __init__(self, message: str, partial_trace: ReasoningTrace):
-        super().__init__(message)
+    def __init__(
+        self, stage: str, cause: Exception, warnings: list[str], partial_trace: Optional[ReasoningTrace] = None
+    ):
+        super().__init__(f"stage '{stage}' failed: {cause}")
+        self.stage = stage
+        self.warnings = warnings
         self.partial_trace = partial_trace
 
 
@@ -138,11 +143,12 @@ def solve(
 
     A node's three roles share one context: the knowledge, rendered once per
     question, and the answers so far. Without verification the verdict is
-    forced true. Backend errors raise ReasoningAborted with the partial trace.
+    forced true. Any error raises PipelineStageError("reasoning") with the
+    records of the nodes finished before it.
     """
     trace = ReasoningTrace()
-    knowledge = serialize_evidence(evidence, cfg.max_evidence_triples)
     try:
+        knowledge = serialize_evidence(evidence, cfg.max_evidence_triples)
         for node_id in bottom_up_order(m):
             question = m.node(node_id).question
             context = {"reasoning": serialize_verified(trace.records), "knowledge": knowledge}
@@ -168,7 +174,7 @@ def solve(
                     final=final,
                 )
             )
-    except BackendError as exc:
-        raise ReasoningAborted(f"backend error during reasoning: {exc}", trace) from exc
+    except Exception as exc:
+        raise PipelineStageError("reasoning", exc, warnings, trace) from exc
     trace.final_answer = trace.records[-1].final if trace.records else ""
     return trace

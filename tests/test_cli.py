@@ -27,6 +27,12 @@ class TestIngest:
         assert main(["ingest", "--graph", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_malformed_line_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "two_fields.tsv"
+        bad.write_text("a\tb\n")
+        assert main(["ingest", "--graph", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 1: expected 3 tab-separated fields, got 2\n"
+
     def test_missing_file(self, capsys):
         assert main(["ingest", "--graph", "/no/such/file.tsv"]) == 1
         assert capsys.readouterr().err.startswith("error:")
@@ -257,7 +263,14 @@ class TestFailsBeforeLoadingGraph:
         dataset.write_text('{"id": "1", "question": "q?", "answers": ["a"]}\n{"id": "2"}\n')
         code = main(["bench", "--graph", GRAPH, "--dataset", str(dataset), "--script", SCRIPT])
         assert code == 1
-        assert "dataset line 2" in capsys.readouterr().err
+        assert f"{dataset}: line 2: missing field 'answers'" in capsys.readouterr().err
+
+    def test_missing_answers_names_the_file_and_field(self, tmp_path, capsys):
+        dataset = tmp_path / "no_answers.jsonl"
+        dataset.write_text('{"id": "1", "question": "q?"}\n')
+        code = main(["bench", "--graph", GRAPH, "--dataset", str(dataset), "--script", SCRIPT])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {dataset}: line 1: missing field 'answers'\n"
 
     def test_blank_question(self, tmp_path, capsys):
         dataset = tmp_path / "blank.jsonl"
@@ -266,7 +279,7 @@ class TestFailsBeforeLoadingGraph:
         )
         code = main(["bench", "--graph", GRAPH, "--dataset", str(dataset), "--script", SCRIPT])
         assert code == 1
-        assert "dataset line 2: question must be non-empty" in capsys.readouterr().err
+        assert f"{dataset}: line 2: question must be non-empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["", "\n  \r\n\t\n"], ids=["empty", "blank"])
     def test_empty_dataset(self, text, tmp_path, capsys):

@@ -105,6 +105,19 @@ def test_embed_matrix_stacks_embed_only_embedders():
     assert matrix.tolist() == [[1.0, 1.0, 0.0], [3.0, 1.0, 0.0]]
 
 
+def test_caching_embedder_empties_at_its_byte_bound(monkeypatch):
+    # Room for five vectors at eight dimensions; 60 texts cycling through 23
+    # miss every time, so the cache empties again and again.
+    monkeypatch.setattr(embedding, "CACHE_BYTES", 5 * 8 * 8)
+    inner = HashedEmbedder(8)
+    cached = CachingEmbedder(inner)
+    for i in range(60):
+        text = f"text {i % 23}"
+        for _ in range(2):  # a miss, then a hit
+            assert cached.embed(text).tobytes() == inner.embed(text).tobytes()
+            assert text in cached._cache and len(cached._cache) <= 5
+
+
 def test_caching_embed_many_bypasses_cache():
     inner = HashedEmbedder()
     cached = CachingEmbedder(inner)

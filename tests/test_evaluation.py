@@ -236,8 +236,8 @@ class TestLoadDataset:
         assert examples == [QAExample("1", "q?", ("a", "b"))]
 
     def test_missing_field_rejected(self):
-        with pytest.raises(ValueError):
-            load_dataset(['{"id": "1", "question": "q?"}'])
+        with pytest.raises(ValueError, match=r"^data.jsonl: line 1: missing field 'answers'$"):
+            load_dataset(['{"id": "1", "question": "q?"}'], source="data.jsonl")
 
     def test_empty_answers_rejected(self):
         with pytest.raises(ValueError):
@@ -247,12 +247,12 @@ class TestLoadDataset:
     def test_blank_question_rejected(self, question):
         lines = ['{"id": "0", "question": "q?", "answers": ["a"]}']
         lines.append(f'{{"id": "1", "question": "{question}", "answers": ["x"]}}')
-        with pytest.raises(ValueError, match=r"^dataset line 2: question must be non-empty$"):
+        with pytest.raises(ValueError, match=r"^<dataset>: line 2: question must be non-empty$"):
             load_dataset(lines)
 
     @pytest.mark.parametrize("answers", ['"Paris"', '{"a": 1}'])
     def test_answers_must_be_a_list(self, answers):
         lines = ['{"id": "0", "question": "q?", "answers": ["a"]}']
         lines.append(f'{{"id": "1", "question": "q?", "answers": {answers}}}')
-        with pytest.raises(ValueError, match=r"dataset line 2: 'answers' must be a JSON list"):
+        with pytest.raises(ValueError, match=r"^<dataset>: line 2: 'answers' must be a JSON list"):
             load_dataset(lines)

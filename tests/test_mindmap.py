@@ -220,21 +220,22 @@ class TestBuildMindMap:
                 assert node.id in m.node(node.parent).children
             assert (node.state is NodeState.END) == (not node.children)
 
+    def test_state_is_read_only(self, golden_backend):
+        m = build_mind_map(BECKHAM_QUESTION, golden_backend, PipelineConfig())
+        with pytest.raises(AttributeError):
+            m.node(m.root).state = NodeState.END
+
 
 def _random_tree(draw) -> MindMap:
     n = draw(st.integers(min_value=1, max_value=20))
-    nodes = {"0": MindMapNode(id="0", question="q0", depth=0, state=NodeState.END)}
+    nodes = {"0": MindMapNode(id="0", question="q0", depth=0)}
     ids = ["0"]
     for i in range(1, n):
         parent_id = draw(st.sampled_from(ids))
         parent = nodes[parent_id]
         node_id = f"{parent_id}.{len(parent.children)}"
-        nodes[node_id] = MindMapNode(
-            id=node_id, question=f"q{i}", depth=parent.depth + 1,
-            state=NodeState.END, parent=parent_id,
-        )
+        nodes[node_id] = MindMapNode(id=node_id, question=f"q{i}", depth=parent.depth + 1, parent=parent_id)
         parent.children.append(node_id)
-        parent.state = NodeState.CONTINUE
         ids.append(node_id)
     return MindMap(nodes=nodes, root="0")
 

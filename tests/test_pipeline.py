@@ -30,6 +30,25 @@ from conftest import BECKHAM_QUESTION, FIXTURES, SUB_Q1, SUB_Q2, ScaledEmbedder,
 from test_acceptance import _run_session, _session_rules
 
 
+class SecondAnswerFails:
+    """Replays ``rules``, except that the second answer prompt gets None
+    (``fault="none_reply"``) or raises ValueError (``fault="value_error"``)."""
+
+    def __init__(self, rules, fault):
+        self.inner = ScriptedBackend(rules)
+        self.fault = fault
+        self.answers = 0
+
+    def generate(self, request):
+        if RES_TEMPLATE.head in request.prompt:
+            self.answers += 1
+            if self.answers == 2:
+                if self.fault == "value_error":
+                    raise ValueError("no answer")
+                return None
+        return self.inner.generate(request)
+
+
 # One out-of-range value per bounded field; NaN must not slip past a bound.
 OUT_OF_RANGE = [
     ("epsilon", -0.1),
@@ -284,6 +303,26 @@ class TestRunPipeline:
             run_pipeline(BECKHAM_QUESTION, fixture_graph, PipelineConfig(), backends)
         assert exc.value.stage == "reasoning"
         assert exc.value.warnings == ["global key extraction produced no parseable triples"]
+
+    @pytest.mark.parametrize("fault", ["none_reply", "value_error"])
+    def test_any_reasoning_failure_carries_its_partial_trace(self, fixture_graph, fault):
+        # The golden run with one warning from global extraction; the second
+        # answer prompt, node 0.1's, gets no reply or raises.
+        rules = [
+            dataclasses.replace(r, reply="no triples here") if "extract the subgraphs" in r.patterns else r
+            for r in golden_rules()
+        ]
+        finished = run_pipeline(BECKHAM_QUESTION, fixture_graph, PipelineConfig(), Backends.single(ScriptedBackend(rules)))
+        backend = SecondAnswerFails(rules, fault)
+        with pytest.raises(PipelineStageError) as exc:
+            run_pipeline(BECKHAM_QUESTION, fixture_graph, PipelineConfig(), Backends.single(backend))
+        assert exc.value.stage == "reasoning"
+        assert exc.value.partial_trace.records == finished.trace.records[:1]
+        assert exc.value.partial_trace.records[0].node == "0.0"
+        assert exc.value.warnings == ["global key extraction produced no parseable triples"]
+        if fault == "value_error":
+            assert isinstance(exc.value.__cause__, ValueError)
+            assert str(exc.value) == "stage 'reasoning' failed: no answer"
 
     def test_stage_error_labels_extraction(self, fixture_graph):
         rules = [ScriptRule(patterns=("decompose",), reply="[]")]

@@ -13,7 +13,7 @@ from kgqa.reasoning import (
     ABSTENTION_PHRASE,
     NodeRecord,
     Outcome,
-    ReasoningAborted,
+    PipelineStageError,
     RetrievedTripleSet,
     answer_node,
     detect_abstention,
@@ -277,12 +277,12 @@ class TestSolve:
         assert trace.records[0].rethink == trace.final_answer == "second guess"
 
     def test_backend_error_carries_partial_trace(self):
-        from kgqa.mindmap import MindMap, MindMapNode, NodeState
+        from kgqa.mindmap import MindMap, MindMapNode
 
         nodes = {
-            "0": MindMapNode("0", "root?", 0, NodeState.CONTINUE, children=["0.0", "0.1"]),
-            "0.0": MindMapNode("0.0", "left?", 1, NodeState.END, parent="0"),
-            "0.1": MindMapNode("0.1", "right?", 1, NodeState.END, parent="0"),
+            "0": MindMapNode("0", "root?", 0, children=["0.0", "0.1"]),
+            "0.0": MindMapNode("0.0", "left?", 1, parent="0"),
+            "0.1": MindMapNode("0.1", "right?", 1, parent="0"),
         }
         m = MindMap(nodes=nodes, root="0")
         backend = scripted_session(
@@ -292,6 +292,7 @@ class TestSolve:
                 # no rule for "right?" -> script miss
             ]
         )
-        with pytest.raises(ReasoningAborted) as exc:
+        with pytest.raises(PipelineStageError) as exc:
             solve(m, no_evidence(), backend, backend, CFG, [])
-        assert len(exc.value.partial_trace.records) == 1
+        assert exc.value.stage == "reasoning"
+        assert [r.node for r in exc.value.partial_trace.records] == ["0.0"]
