@@ -99,7 +99,10 @@ def parse_config_lines(lines: "list[str]", source: str = "<config>") -> dict:
         key = key.strip()
         if key not in _KINDS:
             raise ValueError(f"{source}: line {line_number}: unknown config key '{key}'")
-        values[key] = _coerce(key, _KINDS[key], value)
+        try:
+            values[key] = _coerce(key, _KINDS[key], value)
+        except ValueError as exc:
+            raise ValueError(f"{source}: line {line_number}: {exc}") from exc
     return values
 
 

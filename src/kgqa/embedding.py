@@ -17,10 +17,14 @@ An embedder may also offer ``sparse_counts(texts)``: the nonzero entries of
 each text's unnormalised vector, whose normalisation is ``embed(text)``, as
 three parallel arrays ``(text_index, bucket, count)`` sorted by text index,
 then bucket. The vectors must be additive over texts joined by a space, as
-a bag of tokens is. The graph's index for such an embedder counts every
-text of the graph in one call, on the embedder's first use of the graph,
-and scores triples and resolves entities from those counts instead of
-embedding every triple; for any other it embeds them (see ``kg_store``).
+a bag of tokens is, and a text's counts must depend only on
+``normalize(text)``: its case-folded form with whitespace runs collapsed.
+The graph's index for such an embedder counts each canonical and relation
+of the graph in one call, on the embedder's first use of the graph, and
+scores triples and resolves entities from those counts instead of
+embedding every triple, a surface by its canonical's counts; for any other
+it embeds them (see ``kg_store``). ``HashedEmbedder``'s counts are a
+function of ``text.lower()``, and its ``\\w+`` tokens ignore whitespace.
 """
 from __future__ import annotations
 
@@ -72,13 +76,6 @@ def check_unit_rows(matrix: np.ndarray) -> np.ndarray:
             f"got norm {norms[bad[0]]!r} in row {bad[0]}"
         )
     return matrix
-
-
-def ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """The concatenation of ``arange(start, stop)`` over the pairs."""
-    lengths = stops - starts
-    offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    return offsets + np.arange(len(offsets))
 
 
 def embed_matrix(embedder: Embedder, texts: Sequence[str]) -> np.ndarray:
@@ -135,35 +132,25 @@ class HashedEmbedder:
         """The nonzero token counts of ``texts``, one bucket per token, as
         ``(text_index, bucket, count)`` sorted by text index, then bucket:
         int32 text indexes, buckets in the smallest unsigned type that holds
-        ``dimension - 1``, and int64 counts. The counts are a function of
-        ``text.lower()``, so texts equal once lowercased are tokenized once
-        between them."""
+        ``dimension - 1``, and int64 counts. Each text is tokenized once, and
+        its counts depend only on ``normalize(text)``."""
         dimension = self.dimension
         bucket = _memos[dimension].__getitem__
-        # Each distinct lowered text's index; a text already in lowercase is
-        # its own key, so no copy of it is held.
-        distinct: dict[str, int] = {}
-        lengths, buckets, ids = array("q"), array("q"), array("i")
-        for text, lowered in zip(texts, map(str.lower, texts)):
-            i = distinct.setdefault(text if lowered == text else lowered, len(distinct))
-            if i == len(lengths):
-                tokens = _TOKEN_RE.findall(lowered)
-                lengths.append(len(tokens))
-                buckets.extend(map(bucket, tokens))
-            ids.append(i)
-        del distinct
-        owner = np.repeat(np.arange(len(lengths), dtype=np.int64), np.asarray(lengths))
-        cells, counts = np.unique(owner * dimension + np.asarray(buckets), return_counts=True)
-        del owner, buckets
-        start = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cells // dimension, minlength=len(lengths)), out=start[1:])
-        cells = (cells % dimension).astype(np.min_scalar_type(dimension - 1))
-        # Each text takes its distinct lowered text's run of cells.
-        ids = np.asarray(ids)
-        starts, stops = start[ids], start[ids + 1]
-        at = ranges(starts, stops)
-        owner = np.repeat(np.arange(len(ids), dtype=np.int32), stops - starts)
-        return owner, cells[at], counts[at]
+        lengths, buckets = array("q"), array("q")
+        for text in texts:
+            tokens = _TOKEN_RE.findall(text.lower())
+            lengths.append(len(tokens))
+            buckets.extend(map(bucket, tokens))
+        # Each token's (text, bucket) cell, built in place; the token arrays
+        # are freed before the cells are counted.
+        cells = np.repeat(np.arange(len(lengths), dtype=np.int64), np.asarray(lengths))
+        cells *= dimension
+        cells += np.asarray(buckets)
+        del lengths, buckets
+        cells, counts = np.unique(cells, return_counts=True)
+        owner = (cells // dimension).astype(np.int32)
+        cells %= dimension
+        return owner, cells.astype(np.min_scalar_type(dimension - 1)), counts
 
     def embed(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dimension, dtype=np.float64)

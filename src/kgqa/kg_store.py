@@ -5,21 +5,22 @@ per line, ``#`` comments and blank lines ignored) and is read-only after
 that, so it is safe to share across threads. The load is one streaming
 pass: each line is split once, and a triple line's stripped fields are
 interned as ids of its distinct surfaces and relations; each distinct text
-is normalised once, after the pass.
+is normalised once, after the pass. ``KnowledgeGraph(triples)`` interns
+ends by surface too: an entity's canonical is ``normalize`` of its surfaces.
 
 Storage is columnar: int32 columns of ids into one pool of distinct texts.
 A row holds its head, relation and tail, and the surfaces of its head and
-tail, which serialisation and traces read. Canonicals open the pool in
-sorted order, so an entity's id is its canonical's, and rows are sorted by
-canonical and relation text: row order is ``Triple.sort_key`` order. A CSR
-adjacency lists each entity's rows. ``Triple`` and ``EntityId`` objects are
-built only when asked for.
+tail, which serialisation and traces read. The pool opens with the sorted
+canonicals, so an entity's id is its canonical's, then the relations, then
+the other surfaces. Rows are sorted by canonical and relation text: row
+order is ``Triple.sort_key`` order. A CSR adjacency lists each entity's
+rows. ``Triple`` and ``EntityId`` objects are built only when asked for.
 
 Built on an embedder's first use of the graph, under a lock, and dropped
 with its embedder: the per-embedder index, which owns all similarity
 scoring (entities against a mention for a fuzzy resolve, rows against a
 question's keys for retrieval). For an embedder with ``sparse_counts`` it
-is a ``CountTable``, which counts every text of the graph in one call,
+is a ``CountTable``, which counts the canonicals and relations in one call,
 embeds nothing and relies on ``serialize_triple``'s form, and which scores
 entities and rows alike from the postings of a vector's buckets; for any
 other embedder, a ``DenseIndex``. Both return every entity's score,
@@ -37,7 +38,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .embedding import RESCORE_TOLERANCE, Embedder, check_unit_rows, cosine_sim, embed_matrix, ranges
+from .embedding import RESCORE_TOLERANCE, Embedder, check_unit_rows, cosine_sim, embed_matrix
 
 
 def normalize(text: str) -> str:
@@ -124,6 +125,13 @@ def distinct(values: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
+def ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(start, stop)`` over the pairs."""
+    lengths = stops - starts
+    offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return offsets + np.arange(len(offsets))
+
+
 # Triples ``DenseIndex`` embeds and scores per matrix product: 1 MB at 256
 # dimensions however large an expansion is, where a whole one grows with a hub.
 _BLOCK_ROWS = 512
@@ -138,42 +146,39 @@ class KnowledgeGraph:
     """An indexed, deduplicated set of triples with undirected adjacency."""
 
     def __init__(self, triples: Iterable[Triple]):
-        # A Triple's canonical need not be normalize(surface), so an end is
-        # keyed by both.
-        ends: dict[tuple[str, str], int] = {}
+        # Ends are interned by surface, as ``load_graph`` interns them.
+        ends: dict[str, int] = {}
         relations: dict[str, int] = {}
         columns = [array("i") for _ in range(3)]
         head, relation, tail = (c.append for c in columns)
         for t in triples:
-            head(ends.setdefault((t.head.canonical, t.head.surface), len(ends)))
+            head(ends.setdefault(t.head.surface, len(ends)))
             relation(relations.setdefault(t.relation, len(relations)))
-            tail(ends.setdefault((t.tail.canonical, t.tail.surface), len(ends)))
-        self._build([c for c, _ in ends], [s for _, s in ends], list(relations), *columns)
+            tail(ends.setdefault(t.tail.surface, len(ends)))
+        self._build(list(ends), list(relations), *columns)
 
     def _build(
-        self,
-        canonicals: Sequence[str],
-        surfaces: Iterable[str],
-        relations: Sequence[str],
-        head: array,
-        relation: array,
-        tail: array,
+        self, surfaces: Sequence[str], relations: Sequence[str], head: array, relation: array, tail: array
     ) -> None:
         """Index the rows given as ``head``, ``relation`` and ``tail`` id
-        columns. End id ``i`` is the entity ``canonicals[i]`` shown as the
-        ``i``-th of ``surfaces``; the ends are distinct and in order of first
-        appearance, head before tail. A relation id indexes ``relations``,
-        whose texts may repeat."""
+        columns. End id ``i`` is the ``i``-th of ``surfaces``, which are
+        distinct and in order of first appearance, head before tail; its
+        entity is ``normalize`` of it. Relation id ``i`` is the ``i``-th of
+        ``relations``, stored normalised, so two ids may share a text."""
+        canonicals = list(map(normalize, surfaces))
+        relations = list(map(normalize, relations))
         self._entity_ids = {c: i for i, c in enumerate(sorted(set(canonicals)))}
         relation_texts = sorted(set(relations))
         ranks = {text: i for i, text in enumerate(relation_texts)}
         relation_rank = np.array([ranks[text] for text in relations], dtype=np.int32)
         # One pool of distinct texts: the canonicals, sorted, so that an
-        # entity's id is its canonical's; then the other surfaces and relations.
+        # entity's id is its canonical's; then the relations, which end the
+        # texts a count table counts; then the other surfaces.
         pool = dict(self._entity_ids)
+        relation_text = np.array([pool.setdefault(r, len(pool)) for r in relation_texts], dtype=np.int32)
+        self._counted = len(pool)
         end_entity = np.array([self._entity_ids[c] for c in canonicals], dtype=np.int32)
         end_surface = np.array([pool.setdefault(s, len(pool)) for s in surfaces], dtype=np.int32)
-        relation_text = np.array([pool.setdefault(r, len(pool)) for r in relation_texts], dtype=np.int32)
         self._texts = list(pool)
         head, relation, tail = (np.frombuffer(c, dtype=np.int32) for c in (head, relation, tail))
         h, hs, r = end_entity[head], end_surface[head], relation_rank[relation]
@@ -333,20 +338,20 @@ class KnowledgeGraph:
 
 
 class CountTable:
-    """Sparse token counts of all of a graph's texts under one embedder's
-    ``sparse_counts``, counted whole in one call when the table is built.
+    """Token counts of a graph's canonicals and relations under one embedder's
+    ``sparse_counts``, counted in one call when the table is built.
 
-    Each of the graph's distinct texts (canonicals, surfaces, relations) owns
-    the segment ``_start[t]:_start[t + 1]`` of ``(bucket, count)`` pairs, in
-    bucket order: the sorted arrays ``sparse_counts`` returned, stored as
-    they came. The same pairs are also kept bucket-major, as postings with
-    each bucket's offsets, so a vector is dotted with every text at once from
-    the postings of its non-zero buckets alone, each text summing its terms
-    in its segment's order; a text that shares no bucket with the vector
-    dots exactly 0. Entities open the pool, so their scores are the first
-    texts' dots, scaled by their inverse norms. As the counts are additive
-    over texts joined by a space, a triple's vector is the sum of its head
-    surface's, relation's and tail surface's (see ``serialize_triple``), so
+    Each counted text owns the segment ``_start[t]:_start[t + 1]`` of
+    ``(bucket, count)`` pairs, in bucket order: the sorted arrays
+    ``sparse_counts`` returned, stored as they came. The same pairs are also
+    kept bucket-major, as postings with each bucket's offsets, so a vector is
+    dotted with every text at once from the postings of its non-zero buckets
+    alone, each text summing its terms in its segment's order; a text that
+    shares no bucket with the vector dots exactly 0. Entities open the pool,
+    so their scores are the first texts' dots, scaled by their inverse norms.
+    As the counts are additive over texts joined by a space and depend only
+    on a text's normalised form, a triple's vector (see ``serialize_triple``)
+    is the sum of its head canonical's, relation's and tail canonical's, so
     its dot product with a key is the sum of theirs, scaled by the triple's
     inverse norm; that norm is computed, from the three segments, only for a
     row whose best key dot is non-zero, as a zero dot scores 0 whatever the
@@ -357,9 +362,9 @@ class CountTable:
     """
 
     def __init__(self, graph: KnowledgeGraph, embedder: Embedder):
-        count = len(graph._texts)
+        count = graph._counted
         dimension = self._dimension = embedder.dimension
-        owner, buckets, values = embedder.sparse_counts(graph._texts)
+        owner, buckets, values = embedder.sparse_counts(graph._texts[:count])
         # Unsorted owners would give a text other texts' pairs as its segment.
         if owner.size and not (0 <= owner[0] and owner[-1] < count and (np.diff(owner) >= 0).all()):
             raise ValueError("embedder contract: sparse_counts must be sorted by text index")
@@ -402,7 +407,7 @@ class CountTable:
     ) -> np.ndarray:
         """See ``KnowledgeGraph.row_scores``. A row's dot with a key is the
         sum of its three texts' dots."""
-        row_texts = np.stack((graph._head_surface[rows], graph._relation[rows], graph._tail_surface[rows]))
+        row_texts = np.stack((graph._head[rows], graph._relation[rows], graph._tail[rows]))
         best = np.full(len(rows), -np.inf)
         for vec in key_matrix:
             dots = self._text_dots(vec)[row_texts]
@@ -505,9 +510,8 @@ def load_graph(lines: Iterable[str], source: str = "<graph>") -> KnowledgeGraph:
         if len(fields) != 3:
             raise GraphParseError(line_number, f"expected 3 tab-separated fields, got {len(fields)}", source)
         raise GraphParseError(line_number, "empty field in triple", source)
-    # Normalised once per distinct text.
     graph = KnowledgeGraph.__new__(KnowledgeGraph)
-    graph._build(list(map(normalize, surfaces)), surfaces, list(map(normalize, relations)), *columns)
+    graph._build(list(surfaces), list(relations), *columns)
     return graph
 
 

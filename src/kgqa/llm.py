@@ -340,11 +340,12 @@ def fan_out(
 
 def ask(backend: LLMBackend, template: PromptTemplate, cfg: PipelineConfig, **bindings: str) -> str:
     """Render ``template``, send it at its role's temperature with
-    ``cfg.max_tokens``, and return the reply."""
+    ``cfg.max_tokens``, and return the reply, which must be a string."""
     temperature = cfg.exploration_temperature if template.exploratory else cfg.reasoning_temperature
-    return backend.generate(
-        GenerationRequest(template.render(**bindings), temperature, cfg.max_tokens)
-    )
+    reply = backend.generate(GenerationRequest(template.render(**bindings), temperature, cfg.max_tokens))
+    if not isinstance(reply, str):
+        raise BackendError(f"template '{template.name}' got a {type(reply).__name__} reply, not a string")
+    return reply
 
 
 def infer_template_name(prompt: str) -> str:

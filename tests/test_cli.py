@@ -230,6 +230,19 @@ class TestBadConfig:
         assert captured.out == ""
         assert not report_path.exists()
 
+    def test_unparseable_value_names_its_file_and_line(self, tmp_path, monkeypatch, capsys):
+        # A value read from a file names where it was read; one read from the
+        # environment keeps its text.
+        conf = tmp_path / "run.conf"
+        conf.write_text("hops = 2\nepsilon = abc\n")
+        argv = ["ask", "--question", BECKHAM_QUESTION, "--graph", str(tmp_path / "missing.tsv"), "--script", SCRIPT]
+        unparseable = "config key 'epsilon': could not convert string to float: 'abc'"
+        assert main([*argv, "--config", str(conf)]) == 1
+        assert capsys.readouterr().err == f"error: {conf}: line 2: {unparseable}\n"
+        monkeypatch.setenv("COGGRAG_EPSILON", "abc")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {unparseable}\n"
+
 
 class TestFailsBeforeLoadingGraph:
     """A missing endpoint, a missing script or a bad dataset line is

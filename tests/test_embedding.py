@@ -16,6 +16,7 @@ from kgqa.embedding import (
     cosine_sim,
     embed_matrix,
 )
+from kgqa.kg_store import normalize
 
 
 def test_cosine_self_similarity():
@@ -219,8 +220,8 @@ _CASED = ["\u039f\u0394\u039f\u03a3", "\u03bf\u03b4\u03bf\u03c2", "\u03a3", "\u0
 
 @pytest.mark.parametrize("dimension", [1, 8, 256, 300])
 def test_texts_equal_once_lowercased_count_as_alone(dimension):
-    # One call tokenizes each distinct lowercased text once; every text
-    # still gets the counts, and the dtypes, of a call of its own.
+    # In one call, every text gets the counts, and the dtypes, of a call of
+    # its own, whatever other text it equals once lowercased.
     assert "\u039f\u0394\u039f\u03a3".lower() == "\u03bf\u03b4\u03bf\u03c2"
     assert "\u0130zmir".lower() == "i\u0307zmir"
     embedder = HashedEmbedder(dimension)
@@ -233,6 +234,29 @@ def test_texts_equal_once_lowercased_count_as_alone(dimension):
         assert bucket[owner == i].tobytes() == alone[1].tobytes()
         assert count[owner == i].tobytes() == alone[2].tobytes()
         assert bucket[owner == i].tolist() == np.flatnonzero(reference_counts(text, dimension)).tolist()
+
+
+# Words in case, Greek sigmas, a dotted capital I and arbitrary text, between
+# runs of whitespace that ``str.split`` takes and ``\w+`` never matches.
+_whitespace = st.text(alphabet=" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2000\u3000", min_size=1, max_size=3)
+_word = st.one_of(
+    st.sampled_from(["Ash", "ELM", "ΟΔΟΣ", "οδος", "Σ", "σ", "ς", "İzmir", "i\u0307", "ASH!", "x1"]), st.text(max_size=4)
+)
+_spaced_text = st.tuples(st.lists(st.tuples(_word, _whitespace), max_size=5), _word).map(
+    lambda parts: "".join(word + space for word, space in parts[0]) + parts[1]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_spaced_text, dimension=st.sampled_from([1, 8, 256]))
+@example(text="\tΟΔΟ\u3000Σ\x1c İzmir\x85", dimension=256)
+def test_counts_depend_only_on_the_normalised_text(text, dimension):
+    # The contract a count table relies on to count a canonical in place of
+    # each of its surfaces.
+    embedder = HashedEmbedder(dimension)
+    for got, want in zip(embedder.sparse_counts([text]), embedder.sparse_counts([normalize(text)])):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_caching_embedder_forwards_counts_uncached():

@@ -351,21 +351,26 @@ def test_columnar_loader_matches_reference(lines):
         assert g.digest() == digest
 
 
-def test_triples_sharing_a_surface_under_two_canonicals_match_reference():
-    # A Triple's canonical need not be normalize(surface).
-    x_as_a, x_as_b = EntityId("a", "X"), EntityId("b", "X")
+def test_graph_from_triples_takes_each_canonical_from_its_surface():
+    # Whatever canonical an EntityId carries, an end is interned by its
+    # surface and its entity is normalize(surface), as when loaded.
+    x_as_a, x_as_b = EntityId("a", " X  y"), EntityId("b", " X  y")
     triples = [
-        Triple(x_as_b, "r", x_as_a),
+        Triple(x_as_b, "R", x_as_a),
         Triple(x_as_a, "r", EntityId("c", "Y")),
-        Triple(EntityId("c", "X"), "s", x_as_b),
+        Triple(EntityId("c", "x Y"), "s", x_as_b),
         Triple(x_as_a, "r", EntityId("c", "Z")),
     ]
-    rows, entities, digest = reference_graph(triples)
     g = KnowledgeGraph(triples)
-    assert [_spelled(t) for t in g.triples] == [_spelled(t) for t in rows]
-    assert [_spelled_entity(e) for e in g.entities] == [("a", "X"), ("b", "X"), ("c", "Y")]
-    assert [_spelled_entity(e) for e in g.entities] == [_spelled_entity(e) for e in entities]
-    assert g.digest() == digest
+    assert [_spelled_entity(e) for e in g.entities] == [("x y", " X  y"), ("y", "Y"), ("z", "Z")]
+    assert [_spelled(t) for t in g.triples] == [
+        ("x y", " X  y", "r", "x y", " X  y"),
+        ("x y", " X  y", "r", "y", "Y"),
+        ("x y", " X  y", "r", "z", "Z"),
+        ("x y", "x Y", "s", "x y", " X  y"),
+    ]
+    loaded = load_graph(f"{t.head.surface}\t{t.relation}\t{t.tail.surface}" for t in triples)
+    assert g.digest() == loaded.digest()
 
 
 def reference_resolve(g, mention, embedder, threshold):
@@ -468,13 +473,20 @@ class CountingEmbedder(DenseCountingEmbedder):
         return self._inner.sparse_counts(texts)
 
 
+def counted_texts(graph):
+    """How many texts a count table of ``graph`` counts: its distinct
+    canonicals and relations, a text that is both counted once."""
+    triples = graph.triples
+    return len({t.relation for t in triples} | {e.canonical for t in triples for e in (t.head, t.tail)})
+
+
 def test_entity_index_per_embedder(fixture_graph):
     # With ``sparse_counts`` the index is a count table holding each of the
-    # graph's texts once, counted in one call.
+    # graph's canonicals and relations once, counted in one call.
     first, second = CountingEmbedder(), CountingEmbedder()
     for embedder in (first, second, first):
         assert fixture_graph.resolve_entity("Alex Ferguson OBE", embedder, 0.5).canonical == "alex ferguson"
-    assert (first.calls, second.calls) == ([len(fixture_graph._texts)],) * 2
+    assert (first.calls, second.calls) == ([counted_texts(fixture_graph)],) * 2
     assert (first.bulk_calls, second.bulk_calls) == (0, 0)
     # Without, it is the dense matrix of one bulk embed.
     dense = DenseCountingEmbedder()
@@ -530,9 +542,9 @@ def test_entity_index_freed_with_its_embedder(fixture_graph):
 def test_entity_index_built_once_under_concurrent_resolves(fixture_graph):
     for inner in (CountingEmbedder(), DenseCountingEmbedder()):
         _use_concurrently(fixture_graph, inner)
-        # One call counting each of the graph's texts once, or one bulk embed.
+        # One call counting each canonical and relation once, or one bulk embed.
         if isinstance(inner, CountingEmbedder):
-            assert (inner.calls, inner.bulk_calls) == ([len(fixture_graph._texts)], 0)
+            assert (inner.calls, inner.bulk_calls) == ([counted_texts(fixture_graph)], 0)
         else:
             assert inner.bulk_calls == 1
 
@@ -638,9 +650,9 @@ def _random_graph(rng, triples):
 @pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_bulk_filled_table_matches_text_by_text_reference(seed, threads):
-    # One ``sparse_counts`` call over the whole pool stores, and scores
-    # with, exactly the bits that counting each text alone from the md5
-    # reference does.
+    # One ``sparse_counts`` call over the canonicals and relations stores,
+    # and scores with, exactly the bits that counting each text alone from
+    # the md5 reference does.
     rng = random.Random(seed)
     dimension = rng.choice([8, 64, 256])
     graph = _random_graph(rng, 300)
@@ -663,8 +675,8 @@ def test_bulk_filled_table_matches_text_by_text_reference(seed, threads):
     )
     table = graph._index(embedder)
     assert isinstance(table, CountTable)
-    assert len(table._start) == len(graph._texts) + 1
-    for text in range(len(graph._texts)):
+    assert len(table._start) == counted_texts(graph) + 1
+    for text in range(counted_texts(graph)):
         got = slice(table._start[text], table._start[text + 1])
         want = slice(reference._start[text], reference._start[text + 1])
         assert table._buckets[got].tobytes() == reference._buckets[want].tobytes()
@@ -874,5 +886,5 @@ def test_count_table_build_peak_within_twice_its_arrays(monkeypatch):
     finally:
         tracemalloc.stop()
     kept = sum(array.nbytes for array in vars(table).values() if isinstance(array, np.ndarray))
-    assert len(table._start) == len(graph._texts) + 1
+    assert len(table._start) == counted_texts(graph) + 1
     assert peak <= 2 * kept

@@ -7,14 +7,15 @@ import json
 import pytest
 
 from kgqa.config import load_config, parse_config_lines
-from kgqa.embedding import HashedEmbedder
-from kgqa.kg_store import KnowledgeGraph
+from kgqa.embedding import CachingEmbedder, HashedEmbedder
+from kgqa.kg_store import DenseIndex, KnowledgeGraph
 from kgqa.llm import (
     DEC_TEMPLATE,
     EXT_GLOBAL_TEMPLATE,
     EXT_LOCAL_TEMPLATE,
     RES_TEMPLATE,
     RETHINK_TEMPLATE,
+    BackendError,
     ScriptRule,
     ScriptedBackend,
 )
@@ -323,6 +324,23 @@ class TestRunPipeline:
         if fault == "value_error":
             assert isinstance(exc.value.__cause__, ValueError)
             assert str(exc.value) == "stage 'reasoning' failed: no answer"
+        else:
+            assert isinstance(exc.value.__cause__, BackendError)
+            assert str(exc.value) == "stage 'reasoning' failed: template 'res' got a NoneType reply, not a string"
+
+    def test_non_string_reply_names_its_template(self, fixture_graph):
+        # The golden run, but every decomposition prompt gets None: ``ask``
+        # raises, naming the template and the reply's type.
+        class NoDecomposition(ScriptedBackend):
+            def generate(self, request):
+                return None if DEC_TEMPLATE.head in request.prompt else super().generate(request)
+
+        backends = Backends.single(NoDecomposition(golden_rules()))
+        with pytest.raises(PipelineStageError) as exc:
+            run_pipeline(BECKHAM_QUESTION, fixture_graph, PipelineConfig(), backends)
+        assert exc.value.stage == "decomposition"
+        assert isinstance(exc.value.__cause__, BackendError)
+        assert str(exc.value) == "stage 'decomposition' failed: template 'dec' got a NoneType reply, not a string"
 
     def test_stage_error_labels_extraction(self, fixture_graph):
         rules = [ScriptRule(patterns=("decompose",), reply="[]")]
@@ -373,6 +391,29 @@ class TestWriteTrace:
         ]
         assert result.final_answer == "1986–2013"
         assert buffer.getvalue().encode() == (FIXTURES / "beckham_evidence_trace.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("caching", [False, True], ids=["bare", "caching"])
+    @pytest.mark.parametrize(
+        "epsilon, fixture",
+        [(PipelineConfig().epsilon, "beckham_trace.jsonl"), (0.5, "beckham_evidence_trace.jsonl")],
+        ids=["default", "evidence"],
+    )
+    def test_dense_index_writes_the_golden_traces(self, fixture_graph, caching, epsilon, fixture):
+        # An embedder offering only ``embed`` is scored by a DenseIndex, from
+        # serialised surfaces; it must write the traces a count table writes.
+        class EmbedOnly:
+            dimension = 256
+            embed = staticmethod(HashedEmbedder(256).embed)
+
+        embedder = CachingEmbedder(EmbedOnly()) if caching else EmbedOnly()
+        backend = ScriptedBackend(golden_rules())
+        backends = Backends(res=backend, ver=backend, embedder=embedder)
+        cfg = PipelineConfig(epsilon=epsilon)
+        result = run_pipeline(BECKHAM_QUESTION, fixture_graph, cfg, backends)
+        assert isinstance(fixture_graph._indexes[embedder], DenseIndex)
+        buffer = io.StringIO()
+        write_trace(buffer, result, cfg, fixture_graph)
+        assert buffer.getvalue().encode() == (FIXTURES / fixture).read_bytes()
 
     def test_warnings_in_stage_order_from_one_list(self, fixture_graph):
         answers = {SUB_Q1: "Alex Ferguson", SUB_Q2: "1986–2013", BECKHAM_QUESTION: "1986–2013"}

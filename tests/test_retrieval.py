@@ -594,9 +594,15 @@ def test_hub_cap_rows_served_from_cache():
         assert (inner.calls, inner.counted) == (calls + len(keys.scoring_pairs()), counted)
 
 
-# Case, Greek final sigma and a dotted capital I: lowercasing a surface on
-# its own must give the tokens it gives inside the serialised triple.
-_cased_text = st.one_of(_text, st.sampled_from(["Ash ELM", "ΟΔΟΣ", "οδοσ Σ", "İzmir", "ASH!"]))
+# Case, Greek final sigma, a dotted capital I and whitespace runs: counting
+# a surface's canonical must give the tokens the surface gives inside the
+# serialised triple.
+_cased_text = st.one_of(
+    _text,
+    st.sampled_from(
+        ["Ash ELM", "ΟΔΟΣ", "οδοσ Σ", "İzmir", "ASH!", " Ash \t ELM ", "ΟΔΟ\u3000Σ", "elm\x1c\x85Fir", "İ\xa0 zmir"]
+    ),
+)
 
 
 @settings(max_examples=200, deadline=None)
