@@ -6,19 +6,19 @@ It is dependency-free and stable across runs and processes, which makes
 retrieval tests reproducible. Production deployments can plug any embedder
 that satisfies the same protocol.
 
-An embedder must offer ``embed(text)``, returning a float64 unit vector, or
-the zero vector for a text with no tokens, so that a cosine similarity is a
-dot product. ``embed_matrix`` stacks ``embed`` results, unless the embedder
-offers ``embed_many(texts)``, as ``CachingEmbedder`` does to bypass its
-cache. Where a reused matrix is built, ``check_unit_rows`` raises ValueError
-for a row of any other norm.
+An embedder offers ``dimension`` and ``embed(text)``, returning a float64
+unit vector, or the zero vector for a text with no tokens, so that a cosine
+similarity is a dot product. ``embed_matrix``, the one helper that stacks
+vectors, stacks ``embed`` results and checks them with ``check_unit_rows``,
+which raises ValueError for a row of any other norm.
 
 An embedder may also offer ``sparse_counts(texts)``: the nonzero entries of
 each text's unnormalised vector, whose normalisation is ``embed(text)``, as
 three parallel arrays ``(text_index, bucket, count)`` sorted by text index,
-then bucket. The vectors must be additive over texts joined by a space, as
-a bag of tokens is, and a text's counts must depend only on
-``normalize(text)``: its case-folded form with whitespace runs collapsed.
+then bucket, each bucket in ``range(dimension)``. The vectors must be
+additive over texts joined by a space, as a bag of tokens is, and a text's
+counts must depend only on ``normalize(text)``: its case-folded form with
+whitespace runs collapsed.
 The graph's index for such an embedder counts each canonical and relation
 of the graph in one call, on the embedder's first use of the graph, and
 scores triples and resolves entities from those counts instead of
@@ -79,14 +79,12 @@ def check_unit_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 def embed_matrix(embedder: Embedder, texts: Sequence[str]) -> np.ndarray:
-    """The ``(len(texts), dimension)`` matrix of ``embedder``'s vectors, one row per text."""
-    embed_many = getattr(embedder, "embed_many", None)
-    if embed_many is not None:
-        return embed_many(texts)
+    """The checked ``(len(texts), dimension)`` matrix of ``embedder``'s
+    vectors, one row per text (see ``check_unit_rows``)."""
     out = np.empty((len(texts), embedder.dimension), dtype=np.float64)
     for row, text in zip(out, texts):
         row[:] = embedder.embed(text)
-    return out
+    return check_unit_rows(out)
 
 
 # Tokens a bucket memo holds before it is emptied: each 100k-triple
@@ -168,8 +166,10 @@ CACHE_BYTES = 64 << 20
 
 
 class CachingEmbedder:
-    """Wraps an embedder with an exact-text cache, safe for concurrent use;
-    emptied when an insert would pass ``CACHE_BYTES``, so it never holds more."""
+    """Wraps an embedder's ``embed`` with an exact-text cache, safe for
+    concurrent use, that every vector passes, a stacked row too; emptied
+    when an insert would pass ``CACHE_BYTES``, so it never holds more. The
+    inner ``sparse_counts``, if any, is forwarded uncached."""
 
     def __init__(self, inner: Embedder):
         self._inner = inner
@@ -193,8 +193,3 @@ class CachingEmbedder:
                 self._cache.clear()
             self._cache.setdefault(text, vec)
         return vec
-
-    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
-        """The inner embedder's matrix, uncached: a bulk call such as a graph's
-        entity index keeps its own copy, and caching it would store it twice."""
-        return embed_matrix(self._inner, texts)

@@ -180,33 +180,18 @@ def group_subgraphs(triples: list[TripleKey]) -> list[Key]:
             i = parent[i]
         return i
 
-    def union(i: int, j: int) -> None:
-        parent[find(i)] = find(j)
-
     by_mention: dict[str, int] = {}
     for index, t in enumerate(triples):
         for mention in (normalize(t.head), normalize(t.tail)):
-            if mention in by_mention:
-                union(index, by_mention[mention])
-            else:
-                by_mention[mention] = index
+            other = by_mention.setdefault(mention, index)
+            parent[find(index)] = find(other)
 
     groups: dict[int, list[TripleKey]] = {}
-    order: list[int] = []
     for index, t in enumerate(triples):
-        root = find(index)
-        if root not in groups:
-            groups[root] = []
-            order.append(root)
-        groups[root].append(t)
-
+        groups.setdefault(find(index), []).append(t)
     out: list[Key] = []
-    for root in order:
-        members = groups[root]
-        if len(members) >= 2:
-            out.append(SubgraphKey(triples=tuple(members)))
-        else:
-            out.append(members[0])
+    for members in groups.values():
+        out.append(SubgraphKey(triples=tuple(members)) if len(members) >= 2 else members[0])
     return out
 
 

@@ -38,7 +38,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .embedding import RESCORE_TOLERANCE, Embedder, check_unit_rows, cosine_sim, embed_matrix
+from .embedding import RESCORE_TOLERANCE, Embedder, cosine_sim, embed_matrix
 
 
 def normalize(text: str) -> str:
@@ -132,7 +132,7 @@ def ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return offsets + np.arange(len(offsets))
 
 
-# Triples ``DenseIndex`` embeds and scores per matrix product: 1 MB at 256
+# Triples ``DenseIndex`` stacks and scores per matrix product: 1 MB at 256
 # dimensions however large an expansion is, where a whole one grows with a hub.
 _BLOCK_ROWS = 512
 
@@ -368,6 +368,9 @@ class CountTable:
         # Unsorted owners would give a text other texts' pairs as its segment.
         if owner.size and not (0 <= owner[0] and owner[-1] < count and (np.diff(owner) >= 0).all()):
             raise ValueError("embedder contract: sparse_counts must be sorted by text index")
+        # A bucket out of range would wrap into another under the cast below.
+        if buckets.size and not (0 <= buckets.min() and buckets.max() < dimension):
+            raise ValueError(f"embedder contract: sparse_counts buckets must lie in range({dimension})")
         self._start = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(np.bincount(owner, minlength=count), out=self._start[1:])
         owner = np.asarray(owner, dtype=np.int32)
@@ -433,16 +436,16 @@ class CountTable:
 class DenseIndex:
     """Scores from the vectors of an embedder without ``sparse_counts``.
 
-    The entities' vectors are stacked by ``embed_matrix``, checked and kept
-    the first time an entity is scored. Triples go through ``embed`` each
-    time they are scored, so a caching embedder serves them from its cache.
-    Like ``CountTable``, the index holds no reference to the embedder.
+    Every matrix is stacked, and so checked, by ``embed_matrix``: the
+    entities' the first time an entity is scored, kept; the triples' each
+    time they are scored, ``_BLOCK_ROWS`` at a time, so a caching embedder
+    serves them from its cache. Like ``CountTable``, the index holds no
+    reference to the embedder.
     """
 
     def __init__(self, graph: KnowledgeGraph, embedder: Embedder):
         self._texts = graph._texts
         self._entities = graph.entity_count
-        self._dimension = embedder.dimension
         self._entity_matrix: Optional[np.ndarray] = None
         self._lock = threading.Lock()
 
@@ -451,23 +454,19 @@ class DenseIndex:
         unclipped and indexed by entity id."""
         with self._lock:
             if self._entity_matrix is None:
-                entities = self._texts[: self._entities]
-                self._entity_matrix = check_unit_rows(embed_matrix(embedder, entities))
+                self._entity_matrix = embed_matrix(embedder, self._texts[: self._entities])
         return self._entity_matrix @ vec
 
     def row_scores(
         self, graph: KnowledgeGraph, rows: np.ndarray, key_matrix: np.ndarray, embedder: Embedder
     ) -> np.ndarray:
         """See ``KnowledgeGraph.row_scores``. ``_BLOCK_ROWS`` triples are
-        embedded and scored per matrix product."""
+        stacked and scored per matrix product."""
         scores = np.empty(len(rows))
-        block = np.empty((min(len(rows), _BLOCK_ROWS), self._dimension))
         for start in range(0, len(rows), _BLOCK_ROWS):
-            vectors = block[: min(_BLOCK_ROWS, len(rows) - start)]
-            for vec, row in zip(vectors, rows[start : start + len(vectors)]):
-                vec[:] = embedder.embed(serialize_triple(graph.triple(row)))
-            best = (vectors @ key_matrix.T).max(axis=1)
-            np.clip(best, -1.0, 1.0, out=scores[start : start + len(vectors)])
+            texts = [serialize_triple(graph.triple(row)) for row in rows[start : start + _BLOCK_ROWS]]
+            best = (embed_matrix(embedder, texts) @ key_matrix.T).max(axis=1)
+            np.clip(best, -1.0, 1.0, out=scores[start : start + len(texts)])
         return scores
 
 

@@ -247,8 +247,8 @@ class LLMBackend(Protocol):
     def generate(self, request: GenerationRequest) -> str: ...
 
 
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_lock = threading.Lock()
+# The shared pool; an executor starts no thread before its first job.
+_pool = ThreadPoolExecutor(FAN_OUT_THREADS, thread_name_prefix="kgqa-fan-out")
 
 # Backends, by id, seen to hold the interpreter lock for a whole call, as an
 # in-process stub does: handing their calls to threads only adds hand-offs,
@@ -260,14 +260,6 @@ _pool_lock = threading.Lock()
 # is lost. A remembered backend is forgotten once one of its calls takes the
 # interval or longer: such a call may have waited with the lock released.
 _instant: "weakref.WeakValueDictionary[int, LLMBackend]" = weakref.WeakValueDictionary()
-
-
-def _shared_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(FAN_OUT_THREADS, thread_name_prefix="kgqa-fan-out")
-        return _pool
 
 
 def fan_out(
@@ -309,9 +301,8 @@ def fan_out(
                 if remembered and time.perf_counter() - start >= sys.getswitchinterval():
                     _instant.pop(id(backend), None)
             return results
-        pool = _shared_pool()
         for item, log in zip(items[1:], logs[1:]):
-            futures.append(pool.submit(fn, item, log))
+            futures.append(_pool.submit(fn, item, log))
         start = time.perf_counter()
         results.append(fn(items[0], logs[0]))
         first_s = time.perf_counter() - start

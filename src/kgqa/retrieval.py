@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .config import PipelineConfig
-from .embedding import RESCORE_TOLERANCE, Embedder, check_unit_rows, cosine_sim, embed_matrix
+from .embedding import RESCORE_TOLERANCE, Embedder, cosine_sim, embed_matrix
 from .extraction import Key, KeySet
 from .kg_store import KnowledgeGraph, Triple, distinct, serialize_triple
 
@@ -58,8 +58,7 @@ class KeyMatrix(NamedTuple):
 def embed_keys(keys: KeySet, embedder: Embedder) -> KeyMatrix:
     """Embed a question's distinct key texts once, for both retrieval stages."""
     pairs = keys.scoring_pairs()
-    key_matrix = embed_matrix(embedder, [text for _, text in pairs])
-    return KeyMatrix([key for key, _ in pairs], check_unit_rows(key_matrix))
+    return KeyMatrix([key for key, _ in pairs], embed_matrix(embedder, [text for _, text in pairs]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -99,11 +99,17 @@ def test_embed_matrix_stacks_embed_only_embedders():
     class EmbedOnly:
         dimension = 3
 
-        def embed(self, text):
-            return np.array([len(text), 1.0, 0.0])
+        def __init__(self, norm):
+            self.norm = norm
 
-    matrix = embed_matrix(EmbedOnly(), ["a", "bcd"])
-    assert matrix.tolist() == [[1.0, 1.0, 0.0], [3.0, 1.0, 0.0]]
+        def embed(self, text):
+            return self.norm * np.array([len(text), 1.0, 0.0]) / np.hypot(len(text), 1.0)
+
+    matrix = embed_matrix(EmbedOnly(1.0), ["", "bcd"])
+    assert matrix == pytest.approx(np.array([[0.0, 1.0, 0.0], [3.0, 1.0, 0.0] / np.sqrt(10)]))
+    # Every stacked matrix is checked: a row of another norm raises.
+    with pytest.raises(ValueError, match=r"embedder contract: .* in row 0"):
+        embed_matrix(EmbedOnly(2.0), ["", "bcd"])
 
 
 def test_caching_embedder_empties_at_its_byte_bound(monkeypatch):
@@ -119,13 +125,22 @@ def test_caching_embedder_empties_at_its_byte_bound(monkeypatch):
             assert text in cached._cache and len(cached._cache) <= 5
 
 
-def test_caching_embed_many_bypasses_cache():
-    inner = HashedEmbedder()
+def test_caching_embedder_stack_passes_its_cache(monkeypatch):
+    # A stack embeds each text through the cache: a repeated text, or a
+    # second stack, is served from it, and it stays within its byte bound.
+    monkeypatch.setattr(embedding, "CACHE_BYTES", 5 * 8 * 8)
+    inner = HashedEmbedder(8)
+    embedded = []
+    embed = inner.embed
+    inner.embed = lambda text: embedded.append(text) or embed(text)
     cached = CachingEmbedder(inner)
-    cached.embed("alpha")
-    matrix = cached.embed_many(["alpha", "beta", "gamma"])
-    assert np.array_equal(matrix, embed_matrix(inner, ["alpha", "beta", "gamma"]))
-    assert len(cached._cache) == 1
+    texts = ["alpha", "beta", "alpha", "gamma"]
+    for _ in range(2):
+        assert embed_matrix(cached, texts).tobytes() == embed_matrix(HashedEmbedder(8), texts).tobytes()
+        assert embedded == ["alpha", "beta", "gamma"]
+    texts = [f"text {i}" for i in range(12)]
+    assert embed_matrix(cached, texts).tobytes() == embed_matrix(HashedEmbedder(8), texts).tobytes()
+    assert len(cached._cache) <= 5 and texts[-1] in cached._cache
 
 
 @settings(max_examples=200, deadline=None)

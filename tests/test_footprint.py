@@ -1,4 +1,5 @@
-"""What a process loads: the HTTP stack only once an HTTP backend is built.
+"""What a process loads: the HTTP stack only once an HTTP backend is built,
+and no thread while every LLM call is made in-process.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported ``requests`` itself.
@@ -16,22 +17,23 @@ import kgqa
 from conftest import BECKHAM_ANSWER, BECKHAM_QUESTION, FIXTURES
 
 # Runs the steps in order and prints, per step, whether ``requests`` was
-# loaded after it, and what it printed or raised.
+# loaded after it, and what it printed or raised; after the first two, also
+# how many threads were alive.
 _STEPS = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, threading
 
 def loaded():
     return "requests" in sys.modules
 
 report = {}
 import kgqa
-report["import kgqa"] = loaded()
+report["import kgqa"] = [loaded(), threading.active_count()]
 
 from kgqa.cli import main
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(["ask", "--graph", GRAPH, "--question", QUESTION, "--script", SCRIPT])
-report["kgqa ask --script"] = [loaded(), code, out.getvalue().strip()]
+report["kgqa ask --script"] = [loaded(), threading.active_count(), code, out.getvalue().strip()]
 
 from kgqa.llm import BackendError, HTTPBackend
 before = set(sys.modules)
@@ -70,9 +72,11 @@ def _run_steps() -> dict:
 
 
 def test_http_stack_loads_only_with_an_http_backend():
+    # The fan-out pool is built at import but starts no thread, and a
+    # scripted backend is sequential, so no call starts one either.
     assert _run_steps() == {
-        "import kgqa": False,
-        "kgqa ask --script": [False, 0, BECKHAM_ANSWER],
+        "import kgqa": [False, 1],
+        "kgqa ask --script": [False, 1, 0, BECKHAM_ANSWER],
         "from_env without a URL": [
             False,
             "COGGRAG_LLM_URL is not set; no HTTP backend available",

@@ -440,19 +440,18 @@ def test_entities_sorted_once(fixture_graph):
 
 class DenseCountingEmbedder:
     """A hashed embedder without ``sparse_counts``, so a graph builds it a dense
-    index; counts its bulk embeds, each slow, so that a concurrent build
-    stays open while other threads arrive."""
+    index; records each text it embeds, each embed slow, so that a
+    concurrent stack stays open while other threads arrive."""
 
     def __init__(self):
         self._inner = HashedEmbedder()
         self.dimension = self._inner.dimension
-        self.embed = self._inner.embed
-        self.bulk_calls = 0
+        self.embedded = []
 
-    def embed_many(self, texts):
-        self.bulk_calls += 1
-        time.sleep(0.05)
-        return embed_matrix(self._inner, texts)
+    def embed(self, text):
+        self.embedded.append(text)
+        time.sleep(0.005)
+        return self._inner.embed(text)
 
 
 class CountingEmbedder(DenseCountingEmbedder):
@@ -480,6 +479,17 @@ def counted_texts(graph):
     return len({t.relation for t in triples} | {e.canonical for t in triples for e in (t.head, t.tail)})
 
 
+def resolve_embeds(graph, embedder, times=2):
+    """The texts a bare ``embedder`` embeds in each of ``times`` fuzzy
+    resolves of "Alex Ferguson OBE", one list per resolve."""
+    per_resolve = []
+    for _ in range(times):
+        done = len(embedder.embedded)
+        assert graph.resolve_entity("Alex Ferguson OBE", embedder, 0.5).canonical == "alex ferguson"
+        per_resolve.append(embedder.embedded[done:])
+    return per_resolve
+
+
 def test_entity_index_per_embedder(fixture_graph):
     # With ``sparse_counts`` the index is a count table holding each of the
     # graph's canonicals and relations once, counted in one call.
@@ -487,19 +497,20 @@ def test_entity_index_per_embedder(fixture_graph):
     for embedder in (first, second, first):
         assert fixture_graph.resolve_entity("Alex Ferguson OBE", embedder, 0.5).canonical == "alex ferguson"
     assert (first.calls, second.calls) == ([counted_texts(fixture_graph)],) * 2
-    assert (first.bulk_calls, second.bulk_calls) == (0, 0)
-    # Without, it is the dense matrix of one bulk embed.
+    # Without, it is the dense matrix of one stack, which embeds each entity
+    # once: a second resolve embeds only the mention and the rows it rescores.
     dense = DenseCountingEmbedder()
-    for _ in range(2):
-        assert fixture_graph.resolve_entity("Alex Ferguson OBE", dense, 0.5).canonical == "alex ferguson"
-    assert dense.bulk_calls == 1
+    built, again = resolve_embeds(fixture_graph, dense)
+    assert built == again[:1] + [e.canonical for e in fixture_graph.entities] + again[1:]
+    kinds = [type(fixture_graph._indexes[e]) for e in (first, second, dense)]
+    assert kinds == [CountTable, CountTable, DenseIndex]
     assert len(fixture_graph._indexes) == 3
 
 
 def test_entity_index_not_built_for_exact_mentions(fixture_graph):
     for embedder in (CountingEmbedder(), DenseCountingEmbedder()):
         fixture_graph.resolve_entity("david beckham", embedder, 0.7)
-        assert embedder.bulk_calls == 0
+        assert embedder.embedded == []
         assert getattr(embedder, "counted", 0) == 0
     assert len(fixture_graph._indexes) == 0
 
@@ -513,14 +524,11 @@ def test_tokenless_mention_embeds_only_itself(make, threshold):
     graph = load_graph(f"head {i}\tr\ttail {i}" for i in range(250))
     assert graph.entity_count == 500
     embedder = make()
-    embedded = []
-    embed = embedder.embed
-    embedder.embed = lambda text: embedded.append(text) or embed(text)
     resolved = graph.resolve_entity("!!!", embedder, threshold)
     assert resolved == (graph.entities[0] if threshold < 0 else None)
     assert resolved == reference_resolve(graph, "!!!", HashedEmbedder(), threshold)
-    assert embedded == ["!!!"]
-    assert (embedder.bulk_calls, getattr(embedder, "calls", [])) == (0, [])
+    assert embedder.embedded == ["!!!"]
+    assert getattr(embedder, "calls", []) == []
     assert len(graph._indexes) == 0
 
 
@@ -540,20 +548,24 @@ def test_entity_index_freed_with_its_embedder(fixture_graph):
 
 
 def test_entity_index_built_once_under_concurrent_resolves(fixture_graph):
-    for inner in (CountingEmbedder(), DenseCountingEmbedder()):
-        _use_concurrently(fixture_graph, inner)
-        # One call counting each canonical and relation once, or one bulk embed.
-        if isinstance(inner, CountingEmbedder):
-            assert (inner.calls, inner.bulk_calls) == ([counted_texts(fixture_graph)], 0)
+    _, resolve = resolve_embeds(fixture_graph, DenseCountingEmbedder())
+    rows = [serialize_triple(fixture_graph.triple(row)) for row in fixture_graph.neighbors("alex ferguson", 1)]
+    for embedder in (CountingEmbedder(), DenseCountingEmbedder()):
+        _use_concurrently(fixture_graph, embedder)
+        # One call counting each canonical and relation once, or one stack
+        # embedding each entity once beside each resolve's and scoring's own.
+        if isinstance(embedder, CountingEmbedder):
+            assert embedder.calls == [counted_texts(fixture_graph)]
         else:
-            assert inner.bulk_calls == 1
+            stack = [e.canonical for e in fixture_graph.entities]
+            assert sorted(embedder.embedded) == sorted(stack + 2 * resolve + 2 * rows)
 
 
-def _use_concurrently(graph, inner):
-    # Four first uses at once, two resolves and two row scorings.
-    embedder = CachingEmbedder(inner)
+def _use_concurrently(graph, embedder):
+    # Four first uses at once, two resolves and two row scorings; the keys
+    # are the same vectors, embedded apart.
     rows = graph.neighbors("alex ferguson", 1)
-    keys = embedder.embed("alex ferguson")[None]
+    keys = HashedEmbedder().embed("alex ferguson")[None]
     turns = iter(range(4))
 
     def use():
@@ -564,7 +576,8 @@ def _use_concurrently(graph, inner):
     results = _concurrently(use)
     resolved = [result.canonical for result in results if isinstance(result, EntityId)]
     assert resolved == ["alex ferguson"] * 2
-    want = DenseIndex(graph, embedder).row_scores(graph, rows, keys, embedder)
+    reference = HashedEmbedder()
+    want = DenseIndex(graph, reference).row_scores(graph, rows, keys, reference)
     for scores in (result for result in results if not isinstance(result, EntityId)):
         assert np.all(np.abs(scores - want) <= RESCORE_TOLERANCE)
 
@@ -693,6 +706,36 @@ def test_unsorted_sparse_counts_rejected(fixture_graph):
 
     with pytest.raises(ValueError, match="embedder contract: sparse_counts must be sorted"):
         fixture_graph.resolve_entity("Alex Ferguson OBE", Reversed(64), 0.5)
+
+
+class MovedBucket(ReferenceCounts):
+    """Reference counts whose first pair is moved to ``bucket``."""
+
+    def __init__(self, dimension, bucket):
+        super().__init__(dimension)
+        self.bucket = bucket
+
+    def sparse_counts(self, texts):
+        owner, buckets, counts = super().sparse_counts(texts)
+        buckets[0] = self.bucket
+        return owner, buckets, counts
+
+
+@pytest.mark.parametrize("dimension, bucket", [(256, 256), (256, -1), (8, 8)])
+def test_out_of_range_sparse_counts_rejected(fixture_graph, dimension, bucket):
+    # Cast to one byte, bucket 256 or -1 would wrap into another bucket; at
+    # dimension 8, bucket 8 would overrun the postings' offsets.
+    with pytest.raises(ValueError, match=rf"embedder contract: .* range\({dimension}\)"):
+        fixture_graph.resolve_entity("Alex Ferguson OBE", MovedBucket(dimension, bucket), 0.5)
+
+
+def test_dense_rows_checked_against_a_checked_key_matrix(fixture_graph):
+    # The keys pass the check, the triples' vectors do not: scoring them
+    # raises instead of returning dots of non-unit vectors.
+    keys = embed_matrix(HashedEmbedder(64), ["alex ferguson"])
+    rows = fixture_graph.neighbors("alex ferguson", 1)
+    with pytest.raises(ValueError, match="embedder contract"):
+        fixture_graph.row_scores(rows, ScaledEmbedder(64), keys)
 
 
 def checked_entity_scores(table, vec, embedder):

@@ -65,8 +65,7 @@ def mind_map_outcome(backend):
 def busy_pool():
     """Every thread of the shared pool busy with another question's job."""
     release = threading.Event()
-    pool = llm._shared_pool()
-    busy = [pool.submit(release.wait, 5) for _ in range(FAN_OUT_THREADS)]
+    busy = [llm._pool.submit(release.wait, 5) for _ in range(FAN_OUT_THREADS)]
     try:
         yield
     finally:

@@ -574,8 +574,8 @@ class CountingEmbedder:
 def test_hub_cap_rows_served_from_cache():
     # Without ``sparse_counts`` the hub's rows are embedded, then served from the
     # cache; with it they are scored from the count table, never embedded,
-    # and no text is counted twice. Key texts are stacked past the cache, so
-    # each gather embeds them again, and nothing else.
+    # and no text is counted twice. Key texts pass the cache too, so a second
+    # gather embeds nothing.
     graph = hub_graph([f"spoke {i}" for i in range(50)])
     keys = build_key_set([EntityKey("hub"), TripleKey("hub", "links", "spoke 7")])
     cfg = PipelineConfig(hub_cap=10)
@@ -591,7 +591,7 @@ def test_hub_cap_rows_served_from_cache():
             assert calls >= 50
         second = gather_candidates(graph, keys, embedder, cfg)
         assert second.rows.tolist() == first.rows.tolist()
-        assert (inner.calls, inner.counted) == (calls + len(keys.scoring_pairs()), counted)
+        assert (inner.calls, inner.counted) == (calls, counted)
 
 
 # Case, Greek final sigma, a dotted capital I and whitespace runs: counting
