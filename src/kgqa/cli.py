@@ -9,6 +9,7 @@ from typing import Optional
 
 from .config import PipelineConfig, load_config
 from .evaluation import load_dataset, run_benchmark
+from .inputs import read_lines
 from .kg_store import load_graph_file
 from .llm import BackendError, HTTPBackend, load_script
 from .pipeline import Backends, PipelineStageError, run_pipeline, write_trace
@@ -52,8 +53,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     backends = _build_backends(args.script, cfg)
-    with open(args.dataset, "r", encoding="utf-8-sig") as f:
-        dataset = load_dataset(f.readlines(), source=args.dataset)
+    dataset = load_dataset(read_lines(args.dataset), source=args.dataset)
     if not dataset:
         raise ValueError(f"{args.dataset}: dataset has no examples")
     graph = load_graph_file(args.graph)

@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Iterable, Optional
+
+from .inputs import named, parse_records, read_lines
 
 ENV_CONFIG = "COGGRAG_CONFIG"
 ENV_PREFIX = "COGGRAG_"
@@ -52,17 +54,8 @@ class PipelineConfig:
     model: str = "default"
 
     def __post_init__(self) -> None:
-        for name, kind in _KINDS.items():
-            value = getattr(self, name)
-            # bool is an int subclass, so True passes isinstance(value, int)
-            if not isinstance(value, _ACCEPTED[kind]) or (kind is not bool and isinstance(value, bool)):
-                raise ValueError(f"config key '{name}': expected {kind.__name__}, got {value!r}")
-        for name, (low, high) in _BOUNDS.items():
-            value = getattr(self, name)
-            # written so that NaN fails too
-            if not low <= value <= high:
-                allowed = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
-                raise ValueError(f"config key '{name}': must be {allowed}, got {value!r}")
+        for name in _KINDS:
+            _check(name, getattr(self, name))
 
 
 # Field name -> the type a text value is coerced to.
@@ -74,52 +67,64 @@ _ACCEPTED = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _coerce(name: str, kind: type, value: str):
+def _check(name: str, value):
+    """``value`` if it has field ``name``'s type and lies in its bounds."""
+    kind = _KINDS[name]
+    # bool is an int subclass, so True passes isinstance(value, int)
+    if not isinstance(value, _ACCEPTED[kind]) or (kind is not bool and isinstance(value, bool)):
+        raise ValueError(f"config key '{name}': expected {kind.__name__}, got {value!r}")
+    low, high = _BOUNDS.get(name, (None, None))
+    # written so that NaN fails too
+    if low is not None and not low <= value <= high:
+        allowed = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"config key '{name}': must be {allowed}, got {value!r}")
+    return value
+
+
+def _parse(name: str, text: str):
+    """The checked value of field ``name`` written as ``text``."""
+    kind = _KINDS[name]
     if kind is bool:
-        lowered = value.strip().lower()
+        lowered = text.strip().lower()
         if lowered not in _BOOL_VALUES:
-            raise ValueError(f"config key '{name}': expected a boolean, got {value!r}")
+            raise ValueError(f"config key '{name}': expected a boolean, got {text!r}")
         return _BOOL_VALUES[lowered]
     try:
-        return kind(value.strip())
+        value = kind(text.strip())
     except ValueError as exc:
         raise ValueError(f"config key '{name}': {exc}") from exc
+    return _check(name, value)
 
 
-def parse_config_lines(lines: "list[str]", source: str = "<config>") -> dict:
+def _parse_line(line: str) -> tuple:
+    if "=" not in line:
+        raise ValueError("expected key=value")
+    key, _, text = line.partition("=")
+    key = key.strip()
+    if key not in _KINDS:
+        raise ValueError(f"unknown config key {key!r}")
+    return key, _parse(key, text)
+
+
+def parse_config_lines(lines: "Iterable[str]", source: str = "<config>") -> dict:
     """Flat key=value records; # comments and blank lines ignored."""
-    values: dict = {}
-    for line_number, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{source}: line {line_number}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _KINDS:
-            raise ValueError(f"{source}: line {line_number}: unknown config key '{key}'")
-        try:
-            values[key] = _coerce(key, _KINDS[key], value)
-        except ValueError as exc:
-            raise ValueError(f"{source}: line {line_number}: {exc}") from exc
-    return values
+    return dict(parse_records(lines, source, _parse_line))
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> PipelineConfig:
-    """Build a PipelineConfig from file, then environment, then overrides."""
+    """Build a PipelineConfig from file, then environment, then overrides;
+    a bad value names its file and line, its variable, or ``overrides``."""
     values: dict = {}
     config_path = path or os.environ.get(ENV_CONFIG)
     if config_path:
-        with open(config_path, "r", encoding="utf-8-sig") as f:
-            values.update(parse_config_lines(f.readlines(), source=config_path))
-    for name, kind in _KINDS.items():
-        env_value = os.environ.get(ENV_PREFIX + name.upper())
-        if env_value is not None:
-            values[name] = _coerce(name, kind, env_value)
-    if overrides:
-        for key in overrides:
-            if key not in _KINDS:
-                raise ValueError(f"overrides: unknown config key '{key}'")
-        values.update({k: v for k, v in overrides.items() if v is not None})
+        values.update(parse_config_lines(read_lines(config_path), source=config_path))
+    for name in _KINDS:
+        variable = ENV_PREFIX + name.upper()
+        if variable in os.environ:
+            values[name] = named(variable, _parse, name, os.environ[variable])
+    for name, value in (overrides or {}).items():
+        if name not in _KINDS:
+            raise ValueError(f"overrides: unknown config key {name!r}")
+        if value is not None:
+            values[name] = named("overrides", _check, name, value)
     return PipelineConfig(**values)

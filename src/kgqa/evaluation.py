@@ -7,14 +7,16 @@ takes the max.
 """
 from __future__ import annotations
 
+import json
 import re
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
+from .inputs import parse_records
 from .reasoning import ReasoningTrace, detect_abstention
 
 _PUNCT_RE = re.compile(r"[^\w\s]", re.UNICODE)
@@ -150,32 +152,27 @@ class MetricReport:
     per_example: list[ExampleResult] = field(default_factory=list)
 
 
-def load_dataset(lines: "Sequence[str]", source: str = "<dataset>") -> list[QAExample]:
+def _parse_example(line: str) -> QAExample:
+    try:
+        record = json.loads(line)
+        answers = record["answers"]
+        if not isinstance(answers, list):
+            raise ValueError(f"'answers' must be a JSON list, got {answers!r}")
+        return QAExample(
+            id=str(record["id"]),
+            question=str(record["question"]),
+            gold_answers=tuple(str(a) for a in answers),
+        )
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(str(exc)) from exc
+
+
+def load_dataset(lines: "Iterable[str]", source: str = "<dataset>") -> list[QAExample]:
     """Parse line-delimited {"id", "question", "answers": [...]} records;
     an error names ``source`` and the line."""
-    import json
-
-    examples: list[QAExample] = []
-    for line_number, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-            answers = record["answers"]
-            if not isinstance(answers, list):
-                raise ValueError(f"'answers' must be a JSON list, got {answers!r}")
-            examples.append(
-                QAExample(
-                    id=str(record["id"]),
-                    question=str(record["question"]),
-                    gold_answers=tuple(str(a) for a in answers),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-            raise ValueError(f"{source}: line {line_number}: {reason}") from exc
-    return examples
+    return parse_records(lines, source, _parse_example)
 
 
 def run_benchmark(

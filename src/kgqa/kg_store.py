@@ -39,6 +39,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .embedding import RESCORE_TOLERANCE, Embedder, cosine_sim, embed_matrix
+from .inputs import read_lines
 
 
 def normalize(text: str) -> str:
@@ -515,6 +516,5 @@ def load_graph(lines: Iterable[str], source: str = "<graph>") -> KnowledgeGraph:
 
 
 def load_graph_file(path: str) -> KnowledgeGraph:
-    """``load_graph`` over a UTF-8 file; a leading byte-order mark is dropped."""
-    with open(path, "r", encoding="utf-8-sig") as f:
-        return load_graph(f, source=path)
+    """``load_graph`` over the lines of ``inputs.read_lines(path)``."""
+    return load_graph(read_lines(path), source=path)

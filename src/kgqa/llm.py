@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Protocol, TypeVar
 
 from .config import PipelineConfig
+from .inputs import parse_records, read_lines
 
 if TYPE_CHECKING:
     import requests
@@ -388,49 +389,42 @@ class ScriptedBackend:
         )
 
 
-def parse_script(lines: "list[str]", source: str = "<script>") -> list[ScriptRule]:
-    """Parse a line-delimited script: each record {match | regex, reply}."""
-    rules: list[ScriptRule] = []
-    for line_number, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+def _parse_rule(line: str) -> ScriptRule:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc}") from exc
+    if not isinstance(record, dict) or "reply" not in record:
+        raise ValueError("record must have a 'reply'")
+    match = record.get("match")
+    if match is None:
+        patterns: tuple[str, ...] = ()
+    elif isinstance(match, str):
+        patterns = (match,)
+    elif isinstance(match, list) and all(isinstance(m, str) for m in match):
+        patterns = tuple(match)
+    else:
+        raise ValueError("'match' must be a string or list of strings")
+    regex = record.get("regex")
+    if regex is not None:
+        if not isinstance(regex, str):
+            raise ValueError("'regex' must be a string")
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{source}: line {line_number}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict) or "reply" not in record:
-            raise ValueError(f"{source}: line {line_number}: record must have a 'reply'")
-        match = record.get("match")
-        if match is None:
-            patterns: tuple[str, ...] = ()
-        elif isinstance(match, str):
-            patterns = (match,)
-        elif isinstance(match, list) and all(isinstance(m, str) for m in match):
-            patterns = tuple(match)
-        else:
-            raise ValueError(
-                f"{source}: line {line_number}: 'match' must be a string or list of strings"
-            )
-        regex = record.get("regex")
-        if regex is not None:
-            if not isinstance(regex, str):
-                raise ValueError(f"{source}: line {line_number}: 'regex' must be a string")
-            try:
-                re.compile(regex)
-            except re.error as exc:
-                raise ValueError(f"{source}: line {line_number}: invalid regex: {exc}") from exc
-        if not patterns and regex is None:
-            raise ValueError(
-                f"{source}: line {line_number}: record needs 'match' or 'regex'"
-            )
-        rules.append(ScriptRule(reply=str(record["reply"]), patterns=patterns, regex=regex))
-    return rules
+            re.compile(regex)
+        except (re.error, OverflowError) as exc:
+            raise ValueError(f"invalid regex: {exc}") from exc
+    if not patterns and regex is None:
+        raise ValueError("record needs 'match' or 'regex'")
+    return ScriptRule(reply=str(record["reply"]), patterns=patterns, regex=regex)
+
+
+def parse_script(lines: "Iterable[str]", source: str = "<script>") -> list[ScriptRule]:
+    """Parse a line-delimited script: each record {match | regex, reply}."""
+    return parse_records(lines, source, _parse_rule)
 
 
 def load_script(path: str) -> ScriptedBackend:
-    with open(path, "r", encoding="utf-8-sig") as f:
-        return ScriptedBackend(parse_script(f.readlines(), source=path))
+    return ScriptedBackend(parse_script(read_lines(path), source=path))
 
 
 # Seconds ``HTTPBackend`` waits after its first transient fault; each later

@@ -18,7 +18,7 @@ triples, keys and scores do not depend on the order of the vectorised sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,14 +70,6 @@ class CandidateRows:
     rows: np.ndarray
     scores: np.ndarray
     key_matrix: KeyMatrix
-
-    @classmethod
-    def of(cls, triples: Iterable[Triple], keys: KeySet, embedder: Embedder) -> "CandidateRows":
-        """``triples``, loaded into a graph of their own, scored once against ``keys``."""
-        graph = KnowledgeGraph(triples)
-        rows = np.arange(graph.triple_count)
-        key_matrix = embed_keys(keys, embedder)
-        return cls(graph, rows, key_matrix.row_scores(graph, rows, embedder), key_matrix)
 
     def __len__(self) -> int:
         return len(self.rows)

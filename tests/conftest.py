@@ -14,8 +14,9 @@ import pytest
 from kgqa.config import PipelineConfig
 from kgqa.embedding import CachingEmbedder, HashedEmbedder
 from kgqa.kg_store import KnowledgeGraph, load_graph_file
-from kgqa.llm import ScriptRule, ScriptedBackend, parse_script
+from kgqa.llm import ScriptRule, ScriptedBackend, load_script
 from kgqa.mindmap import build_mind_map
+from kgqa.retrieval import CandidateRows, embed_keys
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -34,8 +35,7 @@ def fixture_graph() -> KnowledgeGraph:
 
 
 def golden_rules():
-    with open(FIXTURES / "beckham_script.jsonl", encoding="utf-8") as f:
-        return parse_script(f.readlines())
+    return load_script(FIXTURES / "beckham_script.jsonl").rules
 
 
 @pytest.fixture
@@ -85,6 +85,15 @@ class SignedEmbedder:
 
     def embed(self, text):
         return (-1.0) ** len(text) * self._unit.embed(text)
+
+
+def candidate_rows(triples, keys, embedder):
+    """``triples``, loaded into a graph of their own, as candidates scored
+    once against ``keys``."""
+    graph = KnowledgeGraph(triples)
+    rows = np.arange(graph.triple_count)
+    key_matrix = embed_keys(keys, embedder)
+    return CandidateRows(graph, rows, key_matrix.row_scores(graph, rows, embedder), key_matrix)
 
 
 def expand(graph, entity, hops):

@@ -29,7 +29,7 @@ from kgqa.mindmap import NodeState, bottom_up_order, build_mind_map
 from kgqa.pipeline import Backends, PipelineConfig, run_pipeline, write_trace
 from kgqa.reasoning import ABSTENTION_PHRASE, detect_abstention
 
-from conftest import BECKHAM_QUESTION, FIXTURES, SUB_Q1, SUB_Q2, golden_rules
+from conftest import BECKHAM_QUESTION, FIXTURES, SUB_Q1, SUB_Q2, candidate_rows, golden_rules
 from test_evaluation import lcs_oracle
 from test_retrieval import brute_force_kept, random_graph, random_keys
 
@@ -39,7 +39,7 @@ def _passed(name: str) -> None:
 
 
 def test_criterion_1_retrieval_oracle_equivalence():
-    from kgqa.retrieval import CandidateRows, filter_by_similarity
+    from kgqa.retrieval import filter_by_similarity
 
     embedder = HashedEmbedder()
     rng = random.Random(42)
@@ -48,7 +48,7 @@ def test_criterion_1_retrieval_oracle_equivalence():
         graph = random_graph(rng, 200)
         keys = random_keys(rng, graph, 20)
         candidates = set(graph.triples)
-        rows = CandidateRows.of(candidates, keys, embedder)
+        rows = candidate_rows(candidates, keys, embedder)
         result = filter_by_similarity(rows, embedder, PipelineConfig(epsilon=0.7))
         assert set(result.triples()) == brute_force_kept(candidates, keys, embedder, 0.7)
     elapsed = time.perf_counter() - start

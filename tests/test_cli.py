@@ -231,8 +231,8 @@ class TestBadConfig:
         assert not report_path.exists()
 
     def test_unparseable_value_names_its_file_and_line(self, tmp_path, monkeypatch, capsys):
-        # A value read from a file names where it was read; one read from the
-        # environment keeps its text.
+        # A value read from a file names its file and line; one read from the
+        # environment names its variable.
         conf = tmp_path / "run.conf"
         conf.write_text("hops = 2\nepsilon = abc\n")
         argv = ["ask", "--question", BECKHAM_QUESTION, "--graph", str(tmp_path / "missing.tsv"), "--script", SCRIPT]
@@ -241,7 +241,7 @@ class TestBadConfig:
         assert capsys.readouterr().err == f"error: {conf}: line 2: {unparseable}\n"
         monkeypatch.setenv("COGGRAG_EPSILON", "abc")
         assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: {unparseable}\n"
+        assert capsys.readouterr().err == f"error: COGGRAG_EPSILON: {unparseable}\n"
 
 
 class TestFailsBeforeLoadingGraph:

@@ -250,6 +250,20 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match=r"^<dataset>: line 2: question must be non-empty$"):
             load_dataset(lines)
 
+    def test_comment_lines_skipped(self):
+        # A dataset skips ``#`` lines as the graph, config and script do.
+        lines = ["# exported 2024-01-01", '{"id": "1", "question": "q?", "answers": ["a"]}', "  # end"]
+        assert load_dataset(lines) == [QAExample("1", "q?", ("a",))]
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [("[1, 2]", "list indices must be integers"), ("[" * 100_000, "maximum recursion depth exceeded")],
+        ids=["not_an_object", "nested_too_deep"],
+    )
+    def test_record_that_is_no_object_names_its_line(self, line, reason):
+        with pytest.raises(ValueError, match=rf"^data.jsonl: line 1: {reason}"):
+            load_dataset([line], source="data.jsonl")
+
     @pytest.mark.parametrize("answers", ['"Paris"', '{"a": 1}'])
     def test_answers_must_be_a_list(self, answers):
         lines = ['{"id": "0", "question": "q?", "answers": ["a"]}']

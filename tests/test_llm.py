@@ -185,6 +185,22 @@ def test_parse_script_rejects_malformed(line):
         parse_script([line])
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"regex": "a{4294967296}", "reply": "x"}',
+        "[" * 100_000,
+        json.dumps({"regex": "(" * 5_000 + ")" * 5_000, "reply": "x"}),
+    ],
+    ids=["huge_repeat", "deep_json", "deep_regex"],
+)
+def test_parser_overflow_reads_as_the_lines_error(line):
+    # re.compile raises OverflowError on the first line, json.loads and
+    # re.compile RecursionError on the others; none may escape as such.
+    with pytest.raises(ValueError, match=r"^s\.jsonl: line 2: "):
+        parse_script(["# rules", line], source="s.jsonl")
+
+
 def test_extract_bracketed_simple():
     assert extract_bracketed("The answer is [Carabao Cup].") == "Carabao Cup"
 

@@ -140,6 +140,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="max_parse_retries"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("source", ["file", "env", "overrides"])
+    def test_out_of_range_value_names_its_source(self, source, tmp_path, monkeypatch):
+        # The value is checked as it arrives, so the error says where it came from.
+        path = tmp_path / "run.conf"
+        path.write_text("epsilon = 0.5\nhops = 0\n" if source == "file" else "")
+        if source == "env":
+            monkeypatch.setenv("COGGRAG_HOPS", "0")
+        where = {"file": f"{path}: line 2", "env": "COGGRAG_HOPS", "overrides": "overrides"}[source]
+        with pytest.raises(ValueError) as exc:
+            load_config(str(path), overrides={"hops": 0} if source == "overrides" else None)
+        assert str(exc.value) == f"{where}: config key 'hops': must be >= 1, got 0"
+
     def test_file_with_byte_order_mark(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_bytes(b"\xef\xbb\xbfhops = 2\n")

@@ -23,9 +23,9 @@ from kgqa.reasoning import (
     solve,
     verify_answer,
 )
-from kgqa.retrieval import CandidateRows, filter_by_similarity
+from kgqa.retrieval import filter_by_similarity
 
-from conftest import one_node_map
+from conftest import candidate_rows, one_node_map
 
 CFG = PipelineConfig()
 
@@ -38,7 +38,7 @@ def beckham_evidence() -> RetrievedTripleSet:
     t = Triple.from_surface("David Beckham", "recruited_by", "Alex Ferguson")
     keys = build_key_set([TripleKey("David Beckham", "recruited_by", "Alex Ferguson")])
     embedder = HashedEmbedder()
-    return filter_by_similarity(CandidateRows.of({t}, keys, embedder), embedder, PipelineConfig(epsilon=0.5))
+    return filter_by_similarity(candidate_rows({t}, keys, embedder), embedder, PipelineConfig(epsilon=0.5))
 
 
 def answered(question: str, answer: str, node: str) -> NodeRecord:

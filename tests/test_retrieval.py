@@ -12,12 +12,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ScaledEmbedder, expand, make_embedder
+from conftest import ScaledEmbedder, candidate_rows, expand, make_embedder
 from kgqa.config import PipelineConfig
 from kgqa.embedding import RESCORE_TOLERANCE, CachingEmbedder, HashedEmbedder, cosine_sim
 from kgqa.extraction import EntityKey, KeySet, PairKey, SubgraphKey, TripleKey, build_key_set, serialize_key
 from kgqa.kg_store import DenseIndex, KnowledgeGraph, Triple, normalize
-from kgqa.retrieval import CandidateRows, embed_keys, filter_by_similarity, gather_candidates, serialize_triple
+from kgqa.retrieval import embed_keys, filter_by_similarity, gather_candidates, serialize_triple
 
 
 def eps(epsilon: float) -> PipelineConfig:
@@ -25,7 +25,7 @@ def eps(epsilon: float) -> PipelineConfig:
 
 
 def filter_triples(triples, keys: KeySet, embedder, cfg: PipelineConfig):
-    return filter_by_similarity(CandidateRows.of(triples, keys, embedder), embedder, cfg)
+    return filter_by_similarity(candidate_rows(triples, keys, embedder), embedder, cfg)
 
 
 def brute_force_kept(candidates, keys: KeySet, embedder, epsilon):
@@ -520,7 +520,7 @@ def test_gathered_scores_filter_as_scores_taken_afresh(triples, keys, kind, dime
     graph = KnowledgeGraph(Triple.from_surface(*t) for t in triples)
     cfg = PipelineConfig(hops=hops, hub_cap=cap, epsilon=epsilon)
     gathered = gather_candidates(graph, keys, embedder, cfg)
-    fresh = CandidateRows.of(gathered.triples(), keys, embedder)
+    fresh = candidate_rows(gathered.triples(), keys, embedder)
     fresh_scores = dict(zip(fresh.triples(), fresh.scores))
     assert len(fresh) == len(gathered)
     for triple, score in zip(gathered.triples(), gathered.scores):
